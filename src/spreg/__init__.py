@@ -35,7 +35,6 @@ from .repair import (
     aggressive_recover,
     guided_logits,
     repetition_penalty,
-    standard_cfg,
     token_weights,
 )
 from .trace_io import TraceRecord, export_csv, read_trace, replay_records, serve_stdio, write_trace

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import config_from_dict, load_config_dict
@@ -89,7 +90,7 @@ def _cmd_run(args) -> int:
         write_events(events, args.events)
     if args.csv:
         export_csv(events, args.csv)
-    print(json.dumps({"summary": summary.to_dict(), "metrics": metrics.to_dict()}, indent=2))
+    print(json.dumps({"summary": asdict(summary), "metrics": metrics.to_dict()}, indent=2))
     return EXIT_OK
 
 
@@ -103,7 +104,7 @@ def _cmd_replay(args) -> int:
         write_events(events, args.events)
     if args.csv:
         export_csv(events, args.csv)
-    print(json.dumps({"summary": summary.to_dict()}, indent=2))
+    print(json.dumps({"summary": asdict(summary)}, indent=2))
     return EXIT_OK
 
 

@@ -7,22 +7,24 @@ process_step consumes one conditional logit vector and returns a Directive
 (what the host sampler should do) plus an EventRecord (what happened, for
 logs and analysis).
 
-Per-step order: entropy and gradient are computed from the conditional
-logits against pre-step window statistics; the plan tracker ingests the
-text of the previously sampled token; the detector decides; repair math
-runs only on intervened steps; low-entropy steps feed the reference pool
-(suppressed while intervening so the prior is never contaminated by our
-own edits); finally the window absorbs the step's entropy. Unintervened
-steps pass the input logits through bit-identical.
+Per-step order: the inputs are validated and the entropy computed before
+any stream state changes, so a step that raises can be retried with the
+same t; the gradient is taken against pre-step window statistics; the
+plan tracker ingests the text of the previously sampled token; the
+detector decides; repair math runs only on intervened steps; low-entropy
+steps feed the reference pool (suppressed while intervening so the prior
+is never contaminated by our own edits); finally the window absorbs the
+step's entropy. Unintervened steps pass the input logits through
+bit-identical.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,7 +55,6 @@ __all__ = [
     "EventRecord",
     "StreamSummary",
     "Controller",
-    "drive_records",
 ]
 
 
@@ -99,23 +100,6 @@ class Directive:
             raise ValueError("intervened flag must match mode")
 
 
-_EVENT_FIELDS = (
-    "t",
-    "entropy",
-    "mu",
-    "sigma",
-    "gradient",
-    "phase",
-    "step_type",
-    "spike",
-    "lambda_applied",
-    "repair_index",
-    "reference_source",
-    "mode",
-    "modified_entropy",
-)
-
-
 @dataclass(frozen=True)
 class EventRecord:
     """One serializable row per decoding step; carries every plotted quantity."""
@@ -135,12 +119,8 @@ class EventRecord:
     modified_entropy: float | None
 
     def to_dict(self) -> dict:
-        d = {name: getattr(self, name) for name in _EVENT_FIELDS}
-        d["phase"] = self.phase.value
-        d["step_type"] = self.step_type.value
-        d["reference_source"] = self.reference_source.value
-        d["mode"] = self.mode.value
-        return d
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.value if isinstance(v, Enum) else v for k, v in d.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -172,15 +152,6 @@ class StreamSummary:
     aggressive_recoveries: int
     mean_entropy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "total_steps": self.total_steps,
-            "spikes": self.spikes,
-            "repair_steps": self.repair_steps,
-            "aggressive_recoveries": self.aggressive_recoveries,
-            "mean_entropy": self.mean_entropy,
-        }
-
 
 class Controller:
     """State and step loop for one decoding stream.
@@ -196,21 +167,14 @@ class Controller:
         self.config = config
         det = config.detector
         self._window = EntropyWindow(capacity=det.window, tail_size=det.n_grad)
-        self._counter = HighEntropyCounter(threshold=det.c_high)
+        self._counter = HighEntropyCounter()
         self._detector = SpikeDetector(det)
         self._tracker = PlanTracker(config.patterns)
-        self._pool = ReferencePool(
-            config.vocab_size,
-            capacity=config.repair.pool_capacity,
-            aggregation=config.repair.pool_aggregation,
-        )
+        self._pool = ReferencePool(config.vocab_size, capacity=config.repair.pool_capacity)
         self._recent: list[int] = []
         self._next_t = 0
         self._awaiting_sample = False
-        self._steps = 0
-        self._spikes = 0
-        self._repair_steps = 0
-        self._aggressive = 0
+        self._modes: Counter[Mode] = Counter()
         self._entropy_sum = 0.0
 
     # -- token feedback ----------------------------------------------------
@@ -254,21 +218,23 @@ class Controller:
         """
         if t != self._next_t:
             raise ProtocolError(f"expected step {self._next_t}, got {t}")
+        inline_token = token_id is not None or bool(token_text)
+        if inline_token and not self._awaiting_sample:
+            raise ProtocolError(f"step {t}: sampled token was already notified")
+        vocab = self.config.vocab_size
         cond = np.asarray(cond_logits, dtype=np.float64)
-        if cond.ndim != 1 or cond.size != self.config.vocab_size:
-            raise ValueError(
-                f"expected {self.config.vocab_size} logits, got shape {cond.shape}"
-            )
+        if cond.ndim != 1 or cond.size != vocab:
+            raise ValueError(f"expected {vocab} logits, got shape {cond.shape}")
+        entropy, cond_logprobs = entropy_and_logprobs(cond)
+        if ref_logits is not None:
+            ref_logits = as_logits(ref_logits, vocab)
 
-        if token_id is not None or token_text:
-            if self._awaiting_sample:
-                self._awaiting_sample = False
-                self._ingest_token(token_id, token_text or "")
-            else:
-                raise ProtocolError(f"step {t}: sampled token was already notified")
+        # Every input is valid; stream state changes only from here on.
+        if inline_token:
+            self._awaiting_sample = False
+            self._ingest_token(token_id, token_text or "")
         self._next_t += 1
 
-        entropy, cond_logprobs = entropy_and_logprobs(cond)
         if len(self._window) > 0:
             mu, sigma = self._window.stats()
         else:
@@ -287,14 +253,8 @@ class Controller:
             self._pool.record(cond_logprobs, entropy, mu)
         self._window.push(entropy)
 
-        self._steps += 1
+        self._modes[event.mode] += 1
         self._entropy_sum += entropy
-        if decision.kind is DecisionKind.TRIGGER_REPAIR:
-            self._spikes += 1
-        if event.mode is Mode.REPAIR:
-            self._repair_steps += 1
-        elif event.mode is Mode.AGGRESSIVE:
-            self._aggressive += 1
         self._awaiting_sample = True
         return directive, event
 
@@ -305,10 +265,9 @@ class Controller:
             return None
         return entropy_gradient([*prior, entropy], n=n)
 
-    def _reference(self, ref_logits) -> tuple[np.ndarray, ReferenceSource]:
+    def _reference(self, ref_logits: np.ndarray | None) -> tuple[np.ndarray, ReferenceSource]:
         if ref_logits is not None:
-            ref = as_logits(ref_logits, self.config.vocab_size)
-            return log_softmax(ref), ReferenceSource.EXTERNAL
+            return log_softmax(ref_logits), ReferenceSource.EXTERNAL
         if len(self._pool) > 0:
             return self._pool.synthesize(), ReferenceSource.POOL
         return self._pool.synthesize(), ReferenceSource.UNIFORM
@@ -317,7 +276,7 @@ class Controller:
         self,
         t: int,
         cond: np.ndarray,
-        ref_logits,
+        ref_logits: np.ndarray | None,
         entropy: float,
         mu: float | None,
         sigma: float | None,
@@ -340,7 +299,7 @@ class Controller:
             weights = token_weights(
                 ref, normalized_entropy(entropy, self.config.vocab_size), params
             )
-            out = guided_logits(cond, ref, lam, weights, direction=params.direction)
+            out = guided_logits(cond, ref, lam, weights)
             modified_entropy = shannon_entropy(out)
             directive = Directive(logits=out, intervened=True, mode=Mode.REPAIR)
         elif decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
@@ -379,25 +338,11 @@ class Controller:
 
     def finish(self) -> StreamSummary:
         """Cumulative tallies; equal to a recount over the emitted events."""
-        mean = self._entropy_sum / self._steps if self._steps else math.nan
+        steps = self._modes.total()
         return StreamSummary(
-            total_steps=self._steps,
-            spikes=self._spikes,
-            repair_steps=self._repair_steps,
-            aggressive_recoveries=self._aggressive,
-            mean_entropy=mean,
-        )
-
-
-def drive_records(
-    controller: Controller, records: Iterable
-) -> Iterator[tuple[Directive, EventRecord]]:
-    """Feed trace records (t, logits, ref_logits, token_id, token_text) through a controller."""
-    for rec in records:
-        yield controller.process_step(
-            rec.t,
-            rec.logits,
-            ref_logits=rec.ref_logits,
-            token_id=rec.token_id,
-            token_text=rec.token_text,
+            total_steps=steps,
+            spikes=self._detector.repair_count,
+            repair_steps=self._modes[Mode.REPAIR],
+            aggressive_recoveries=self._modes[Mode.AGGRESSIVE],
+            mean_entropy=self._entropy_sum / steps if steps else math.nan,
         )

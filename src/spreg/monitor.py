@@ -61,9 +61,6 @@ class EntropyWindow:
             raise NotReadyError("entropy window is empty")
         return self._mu, self._sigma
 
-    def entries(self) -> tuple[float, ...]:
-        return tuple(self._entries)
-
     def tail(self, count: int | None = None) -> tuple[float, ...]:
         """The most recent pushed values (up to ``count`` of them)."""
         if count is None:
@@ -96,10 +93,7 @@ def entropy_gradient(values, n: int | None = None) -> float:
 class HighEntropyCounter:
     """Counts consecutive steps whose entropy exceeds the running mean."""
 
-    def __init__(self, threshold: int = 50):
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
+    def __init__(self):
         self.count = 0
 
     def update(self, entropy: float, mu: float | None) -> int:
@@ -116,7 +110,3 @@ class HighEntropyCounter:
 
     def reset(self) -> None:
         self.count = 0
-
-    @property
-    def triggered(self) -> bool:
-        return self.count >= self.threshold

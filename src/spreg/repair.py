@@ -5,11 +5,10 @@ from a reference distribution in log-softmax space,
 
     guided = ref + scale * weights * (cond - ref)
 
-optionally flipped to interpolate toward the reference instead (the
-``direction`` switch), with a per-token weight vector derived from the
-standardized reference logits. The reference comes from an externally
-supplied distribution when available, otherwise it is synthesized from a
-pool of low-entropy historical distributions, falling back to uniform.
+with a per-token weight vector derived from the standardized reference
+logits. The reference comes from an externally supplied distribution when
+available, otherwise it is synthesized from a pool of low-entropy
+historical distributions, falling back to uniform.
 
 Aggressive recovery escalates: guidance at the capped scale, a repetition
 penalty over recently sampled token ids, and a sharp sampling-temperature
@@ -35,14 +34,9 @@ __all__ = [
     "adaptive_scale_raw",
     "token_weights",
     "guided_logits",
-    "standard_cfg",
     "repetition_penalty",
     "aggressive_recover",
 ]
-
-TOWARD_CONDITIONAL = "toward-conditional"
-TOWARD_REFERENCE = "toward-reference"
-
 
 @dataclass(frozen=True)
 class RepairParams:
@@ -54,8 +48,6 @@ class RepairParams:
     t_recover: float = 0.3
     recent_window: int = 64
     pool_capacity: int = 32
-    pool_aggregation: str = "log"
-    direction: str = TOWARD_CONDITIONAL
 
     def __post_init__(self):
         checks = [
@@ -67,11 +59,6 @@ class RepairParams:
             (0 < self.t_recover <= 1, "t_recover must be in (0, 1]"),
             (self.recent_window >= 1, "recent_window must be >= 1"),
             (self.pool_capacity >= 1, "pool_capacity must be >= 1"),
-            (self.pool_aggregation in ("log", "prob"), "pool_aggregation must be 'log' or 'prob'"),
-            (
-                self.direction in (TOWARD_CONDITIONAL, TOWARD_REFERENCE),
-                f"direction must be {TOWARD_CONDITIONAL!r} or {TOWARD_REFERENCE!r}",
-            ),
         ]
         for ok, msg in checks:
             if not ok:
@@ -86,17 +73,14 @@ class ReferencePool:
     capacity. One pool belongs to one stream.
     """
 
-    def __init__(self, vocab_size: int, capacity: int = 32, aggregation: str = "log"):
+    def __init__(self, vocab_size: int, capacity: int = 32):
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
         if capacity < 1:
             raise ConfigError(f"capacity must be >= 1, got {capacity}")
-        if aggregation not in ("log", "prob"):
-            raise ConfigError(f"aggregation must be 'log' or 'prob', got {aggregation!r}")
         self.vocab_size = vocab_size
         self.capacity = capacity
-        self.aggregation = aggregation
-        self._entries: deque[tuple[np.ndarray, float]] = deque(maxlen=capacity)
+        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,26 +89,18 @@ class ReferencePool:
         """Store the distribution iff entropy < mu; returns whether it was."""
         if not entropy < mu:
             return False
-        lp = as_logits(logprobs, self.vocab_size)
-        self._entries.append((lp.copy(), float(entropy)))
+        self._entries.append(as_logits(logprobs, self.vocab_size).copy())
         return True
-
-    def entropies(self) -> tuple[float, ...]:
-        return tuple(h for _, h in self._entries)
 
     def synthesize(self) -> np.ndarray:
         """Aggregate stored distributions into one normalized log-prob vector.
 
-        Empty pool falls back to uniform. "log" aggregation averages
-        log-probabilities (geometric mean of the distributions); "prob"
-        averages the probabilities instead.
+        Averages the log-probabilities (the normalized geometric mean of
+        the distributions); an empty pool falls back to uniform.
         """
         if not self._entries:
             return np.full(self.vocab_size, -math.log(self.vocab_size))
-        stacked = np.stack([lp for lp, _ in self._entries])
-        if self.aggregation == "log":
-            return log_softmax(stacked.mean(axis=0))
-        return log_softmax(np.log(np.exp(stacked).mean(axis=0)))
+        return log_softmax(np.stack(self._entries).mean(axis=0))
 
 
 def adaptive_scale_raw(
@@ -184,13 +160,7 @@ def token_weights(reference, normalized_entropy: float, params: RepairParams) ->
     return 1.0 + params.eta * normalized_entropy * dev / (sigma_ref + params.epsilon)
 
 
-def guided_logits(
-    cond,
-    ref_logprobs,
-    scale: float,
-    weights=None,
-    direction: str = TOWARD_CONDITIONAL,
-) -> np.ndarray:
+def guided_logits(cond, ref_logprobs, scale: float, weights=None) -> np.ndarray:
     """Weighted extrapolation between conditional and reference.
 
     Both inputs are normalized to log-softmax space first; the result is a
@@ -212,26 +182,7 @@ def guided_logits(
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != cond.shape:
             raise ValueError(f"shape mismatch: weights {w.shape} vs cond {cond.shape}")
-    if direction == TOWARD_CONDITIONAL:
-        return lr + scale * w * (lc - lr)
-    if direction == TOWARD_REFERENCE:
-        return lc + scale * w * (lr - lc)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-def standard_cfg(cond, uncond, gamma: float) -> np.ndarray:
-    """Fixed-scale guidance against an unconditional distribution.
-
-    log p_hat = log p_uncond + gamma * (log p_cond - log p_uncond),
-    computed in log-softmax space. Intended for gamma >= 1.
-    """
-    cond = as_logits(cond)
-    uncond = as_logits(uncond)
-    if cond.shape != uncond.shape:
-        raise ValueError(f"shape mismatch: cond {cond.shape} vs uncond {uncond.shape}")
-    lc = log_softmax(cond)
-    lu = log_softmax(uncond)
-    return lu + gamma * (lc - lu)
+    return lr + scale * w * (lc - lr)
 
 
 def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
@@ -265,5 +216,5 @@ def aggressive_recover(
     set to break loops, and returns the sharp sampling temperature the
     host should use for this step.
     """
-    guided = guided_logits(cond, ref_logprobs, params.lambda_max, direction=params.direction)
+    guided = guided_logits(cond, ref_logprobs, params.lambda_max)
     return repetition_penalty(guided, recent_ids, params.rho), params.t_recover

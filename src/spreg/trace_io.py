@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -239,16 +239,17 @@ def replay_records(
     directives: list[Directive] = []
     events: list[EventRecord] = []
     for rec in records:
-        directive, event = controller.process_step(
-            rec.t,
-            rec.logits,
-            ref_logits=rec.ref_logits,
-            token_id=rec.token_id,
-            token_text=rec.token_text,
-        )
+        directive, event = _feed(controller, rec)
         directives.append(directive)
         events.append(event)
     return directives, events, controller.finish()
+
+
+def _feed(controller: Controller, rec: TraceRecord) -> tuple[Directive, EventRecord]:
+    """Run one recorded step through ``controller``."""
+    return controller.process_step(
+        rec.t, rec.logits, rec.ref_logits, token_id=rec.token_id, token_text=rec.token_text
+    )
 
 
 # -- stdio wire protocol --------------------------------------------------------
@@ -316,13 +317,7 @@ class _Session:
         except ValueError as exc:
             return _error("bad_frame", str(exc))
         try:
-            directive, event = self.controller.process_step(
-                rec.t,
-                rec.logits,
-                ref_logits=rec.ref_logits,
-                token_id=rec.token_id,
-                token_text=rec.token_text,
-            )
+            directive, event = _feed(self.controller, rec)
         except ProtocolError as exc:
             return _error("protocol", str(exc))
         except ValueError as exc:
@@ -348,7 +343,7 @@ class _Session:
         if self.controller is None:
             return _error("not_initialized", "send init before finish")
         summary = self.controller.finish()
-        return {"kind": "summary", **summary.to_dict()}
+        return {"kind": "summary", **asdict(summary)}
 
 
 def serve_stdio(

@@ -34,6 +34,22 @@ def naive_slope(values) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def naive_cfg(cond, uncond, gamma: float) -> np.ndarray:
+    """Fixed-scale classifier-free guidance in log-probability space.
+
+    log p_hat = log p_uncond + gamma * (log p_cond - log p_uncond), with
+    each log-probability normalized by an explicit max-shifted log-sum-exp.
+    """
+
+    def logprobs(z):
+        z = np.asarray(z, dtype=np.float64)
+        m = z.max()
+        return z - (m + np.log(np.exp(z - m).sum()))
+
+    lc, lu = logprobs(cond), logprobs(uncond)
+    return lu + gamma * (lc - lu)
+
+
 def naive_window_stats(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std())

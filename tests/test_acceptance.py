@@ -26,12 +26,12 @@ from spreg.repair import (
     adaptive_scale_raw,
     guided_logits,
     repetition_penalty,
-    standard_cfg,
     token_weights,
 )
 from spreg.trace_io import replay_records, write_events, write_trace
 
 from _oracles import (
+    naive_cfg,
     naive_entropy,
     naive_entropy_f64,
     naive_slope,
@@ -109,7 +109,7 @@ def test_04_guidance_identities():
         assert log_softmax(guided_logits(cond, ref, 0.0)) == pytest.approx(ref, abs=1e-9)
         gamma = float(rng.uniform(1.0, 4.0))
         uncond = rng.standard_normal(size)
-        assert log_softmax(standard_cfg(cond, uncond, gamma)) == pytest.approx(
+        assert log_softmax(naive_cfg(cond, uncond, gamma)) == pytest.approx(
             log_softmax(guided_logits(cond, log_softmax(uncond), gamma)), abs=1e-9
         )
     report(4, "scale-1/scale-0 identities and fixed-scale equivalence (1k pairs)")

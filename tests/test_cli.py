@@ -45,6 +45,9 @@ class TestConfigLoading:
             config_from_dict({"vocab_size": 8, "detectorr": {}})
         with pytest.raises(ConfigError):
             config_from_dict({"vocab_size": 8, "detector": {"alhpa": 2.0}})
+        for key, value in (("direction", "toward-conditional"), ("pool_aggregation", "log")):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"vocab_size": 8, "repair": {key: value}})
 
     def test_vocab_required(self):
         with pytest.raises(ConfigError):

@@ -73,6 +73,43 @@ class TestLifecycle:
             Controller({"vocab_size": 4})
 
 
+class TestFailedStep:
+    """A step that raises changes no stream state, so the host can retry its t."""
+
+    @staticmethod
+    def step(ctrl, t, z, ref=None):
+        token_id, token_text = ((t - 1) % VOCAB, " x") if t else (None, None)
+        return ctrl.process_step(t, z, ref, token_id=token_id, token_text=token_text)
+
+    @pytest.mark.parametrize(
+        "bad_t, cond, ref",
+        [
+            (3, np.full(VOCAB, np.nan), None),
+            (20, None, np.zeros(VOCAB + 1)),
+            (3, None, np.full(VOCAB, np.nan)),
+        ],
+        ids=["nan_logits", "bad_ref_on_spike", "bad_ref_on_passthrough"],
+    )
+    def test_retry_after_failed_step_matches_clean_run(self, bad_t, cond, ref):
+        rng = np.random.default_rng(3)
+        inputs = [spike_logits() if t == 20 else stable_logits(rng) for t in range(40)]
+        clean = Controller(make_config())
+        expected = [self.step(clean, t, z) for t, z in enumerate(inputs)]
+        assert expected[20][1].spike and expected[3][1].mode is Mode.NONE
+
+        ctrl = Controller(make_config())
+        got = []
+        for t, z in enumerate(inputs):
+            if t == bad_t:
+                with pytest.raises(ValueError):
+                    self.step(ctrl, t, z if cond is None else cond, ref)
+            got.append(self.step(ctrl, t, z))
+        assert [e.to_json() for _, e in got] == [e.to_json() for _, e in expected]
+        for (a, _), (b, _) in zip(got, expected):
+            assert np.array_equal(a.logits, b.logits)
+        assert ctrl.finish() == clean.finish()
+
+
 class TestPassthrough:
     def test_quiet_stream_is_never_intervened(self):
         rng = np.random.default_rng(1)

@@ -25,7 +25,7 @@ CFG = DetectorConfig()
 def run_machine(h_seq, cfg: DetectorConfig):
     """Wire window + counter + detector exactly as the controller does."""
     window = EntropyWindow(capacity=cfg.window, tail_size=cfg.n_grad)
-    counter = HighEntropyCounter(threshold=cfg.c_high)
+    counter = HighEntropyCounter()
     detector = SpikeDetector(cfg)
     out = []
     for t, h in enumerate(h_seq):

@@ -19,7 +19,7 @@ class TestEntropyWindow:
         for i in range(11):
             w.push(float(i))
         assert len(w) == 10
-        assert w.entries() == tuple(float(i) for i in range(1, 11))
+        assert w.stats() == pytest.approx(naive_window_stats(range(1, 11)), abs=1e-12)
 
     def test_single_sample_stats(self):
         w = EntropyWindow()
@@ -129,13 +129,12 @@ class TestEntropyGradient:
 
 class TestHighEntropyCounter:
     def test_increment(self):
-        c = HighEntropyCounter(threshold=50)
+        c = HighEntropyCounter()
         c.count = 49
         assert c.update(2.5, 2.0) == 50
-        assert c.triggered
 
     def test_reset_on_equal(self):
-        c = HighEntropyCounter(threshold=50)
+        c = HighEntropyCounter()
         c.count = 49
         assert c.update(2.0, 2.0) == 0
 
@@ -144,20 +143,11 @@ class TestHighEntropyCounter:
         c.count = 10
         assert c.update(3.0, None) == 0
 
-    def test_triggers_at_exactly_the_threshold(self):
-        c = HighEntropyCounter(threshold=50)
-        fired_at = None
-        for i in range(1, 61):
-            c.update(3.0, 2.0)
-            if c.triggered and fired_at is None:
-                fired_at = i
-        assert fired_at == 50
-
     @given(st.lists(st.floats(min_value=0, max_value=4, allow_nan=False), min_size=1, max_size=80))
     @settings(max_examples=200)
     def test_counter_equals_trailing_run_length(self, values):
         mu = 2.0
-        c = HighEntropyCounter(threshold=5)
+        c = HighEntropyCounter()
         for v in values:
             c.update(v, mu)
         expected = 0

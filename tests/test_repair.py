@@ -17,7 +17,6 @@ from spreg.repair import (
     aggressive_recover,
     guided_logits,
     repetition_penalty,
-    standard_cfg,
     token_weights,
 )
 
@@ -42,8 +41,6 @@ class TestRepairParams:
             {"t_recover": 1.5},
             {"recent_window": 0},
             {"beta": -0.1},
-            {"direction": "sideways"},
-            {"pool_aggregation": "median"},
         ],
     )
     def test_invalid(self, kwargs):
@@ -67,7 +64,6 @@ class TestReferencePool:
         assert len(pool) == 32
         first = pool.synthesize()
         # Entry 0 is gone: all remaining entries came from i = 1..32.
-        assert pool.entropies() == tuple([1.0] * 32)
         lone = ReferencePool(2, capacity=32)
         for i in range(1, 33):
             lone.record(log_softmax([float(i), 0.0]), entropy=1.0, mu=2.0)
@@ -88,17 +84,6 @@ class TestReferencePool:
         pool.record(log_softmax([2.0, 0.0]), entropy=0.3, mu=1.0)
         pool.record(log_softmax([0.0, 2.0]), entropy=0.3, mu=1.0)
         assert pool.synthesize() == pytest.approx([-math.log(2)] * 2, abs=1e-12)
-
-    def test_prob_aggregation_differs_from_log(self):
-        specs = {}
-        for mode in ("log", "prob"):
-            pool = ReferencePool(3, aggregation=mode)
-            pool.record(log_softmax([3.0, 0.0, 0.0]), entropy=0.3, mu=1.0)
-            pool.record(log_softmax([0.0, 0.5, 0.0]), entropy=0.8, mu=1.0)
-            specs[mode] = pool.synthesize()
-        assert not np.allclose(specs["log"], specs["prob"])
-        for mode in specs:
-            assert math.isclose(np.exp(specs[mode]).sum(), 1.0, abs_tol=1e-9)
 
 
 class TestAdaptiveScale:
@@ -202,44 +187,11 @@ class TestGuidedLogits:
         assert softmax(out) == pytest.approx([0.98200, 0.01800], abs=2e-5)
         assert softmax([2.0, 0.0]) == pytest.approx([0.880797, 0.119203], abs=1e-6)
 
-    def test_toward_reference_direction(self):
-        cond = np.array([2.0, 0.0])
-        ref = log_softmax([0.0, 2.0])
-        out = guided_logits(cond, ref, 1.0, direction="toward-reference")
-        assert log_softmax(out) == pytest.approx(ref, abs=1e-9)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             guided_logits([1.0, 2.0], log_softmax([1.0, 2.0, 3.0]), 1.0)
         with pytest.raises(ValueError):
             guided_logits([1.0, 2.0], log_softmax([1.0, 2.0]), 1.0, weights=[1.0, 1.0, 1.0])
-
-    @given(logit_vectors, st.floats(min_value=1, max_value=4))
-    @settings(max_examples=150)
-    def test_matches_standard_cfg_with_unit_weights(self, cond, gamma):
-        rng = np.random.default_rng(0)
-        uncond = rng.standard_normal(cond.size)
-        via_guided = guided_logits(cond, log_softmax(uncond), gamma)
-        via_cfg = standard_cfg(cond, uncond, gamma)
-        assert log_softmax(via_guided) == pytest.approx(log_softmax(via_cfg), abs=1e-9)
-
-
-class TestStandardCfg:
-    def test_gamma_one_is_identity(self):
-        cond = np.array([0.5, -2.0, 3.0])
-        out = standard_cfg(cond, [1.0, 1.0, 1.0], 1.0)
-        assert log_softmax(out) == pytest.approx(log_softmax(cond), abs=1e-12)
-
-    def test_equal_inputs_fixed_point(self):
-        z = np.array([1.0, -1.0, 0.0])
-        for gamma in (1.0, 2.0, 5.0):
-            assert log_softmax(standard_cfg(z, z, gamma)) == pytest.approx(
-                log_softmax(z), abs=1e-12
-            )
-
-    def test_matches_guided_example(self):
-        out = standard_cfg([2.0, 0.0], [1.0, 1.0], 2.0)
-        assert out == pytest.approx([0.439291, -3.560709], abs=1e-6)
 
 
 class TestRepetitionPenalty:
