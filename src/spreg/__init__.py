@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .errors import ConfigError, NotReadyError, ProtocolError, SpregError, TraceFormatError
 from .harness import GroundTruth, Metrics, Scenario, evaluate, generate
-from .monitor import EntropyWindow, HighEntropyCounter, entropy_gradient
+from .monitor import EntropyWindow, entropy_gradient
 from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
 from .repair import (
     ReferencePool,

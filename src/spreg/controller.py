@@ -1,21 +1,21 @@
 """Per-stream orchestration of the monitor-detect-repair loop.
 
 One Controller owns the mutable state of a single decoding stream: the
-entropy window, the high-entropy counter, the control state machine, the
-plan tracker, the reference pool, and the recent-token span. Each call to
-process_step consumes one conditional logit vector and returns a Directive
-(what the host sampler should do) plus an EventRecord (what happened, for
-logs and analysis).
+entropy window, the control state machine, the plan tracker, the reference
+pool, and the recent-token span. Each call to process_step consumes one
+conditional logit vector and returns a Directive (what the host sampler
+should do) plus an EventRecord (what happened, for logs and analysis).
 
-Per-step order: the inputs are validated and the entropy computed before
-any stream state changes, so a step that raises can be retried with the
-same t; the gradient is taken against pre-step window statistics; the
-plan tracker ingests the text of the previously sampled token; the
-detector decides; repair math runs only on intervened steps; low-entropy
-steps feed the reference pool (suppressed while intervening so the prior
-is never contaminated by our own edits); finally the window absorbs the
-step's entropy. Unintervened steps pass the input logits through
-bit-identical.
+Per-step order: the inputs are validated and the conditional logits
+normalized once, before any stream state changes, so a step that raises
+can be retried with the same t, and the repair math works on these
+log-probs without re-checking them; the gradient is taken against
+pre-step window statistics; the plan tracker ingests the text of the
+previously sampled token; the detector decides; repair math runs only on
+intervened steps; low-entropy steps feed the reference pool (suppressed
+while intervening so the prior is never contaminated by our own edits);
+finally the window absorbs the step's entropy. Unintervened steps pass
+the input logits through bit-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .distributions import (
     shannon_entropy,
 )
 from .errors import ConfigError, ProtocolError
-from .monitor import EntropyWindow, HighEntropyCounter, entropy_gradient
+from .monitor import EntropyWindow, entropy_gradient
 from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
 from .repair import (
     ReferencePool,
@@ -89,15 +89,16 @@ class Directive:
     """Per-step controller output for the host sampler."""
 
     logits: np.ndarray
-    intervened: bool = False
     mode: Mode = Mode.NONE
     temperature_override: float | None = None
 
     def __post_init__(self):
         if (self.temperature_override is not None) != (self.mode is Mode.AGGRESSIVE):
             raise ValueError("temperature_override is set exactly for aggressive mode")
-        if self.intervened != (self.mode is not Mode.NONE):
-            raise ValueError("intervened flag must match mode")
+
+    @property
+    def intervened(self) -> bool:
+        return self.mode is not Mode.NONE
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,13 @@ class StreamSummary:
     mean_entropy: float
 
 
+def _checked_token(token_id, token_text) -> int | None:
+    """Validate a sampled-token report before it changes any state."""
+    if token_text is not None and not isinstance(token_text, str):
+        raise ValueError(f"token_text must be a string, got {type(token_text).__name__}")
+    return None if token_id is None else int(token_id)
+
+
 class Controller:
     """State and step loop for one decoding stream.
 
@@ -167,7 +175,6 @@ class Controller:
         self.config = config
         det = config.detector
         self._window = EntropyWindow(capacity=det.window, tail_size=det.n_grad)
-        self._counter = HighEntropyCounter()
         self._detector = SpikeDetector(det)
         self._tracker = PlanTracker(config.patterns)
         self._pool = ReferencePool(config.vocab_size, capacity=config.repair.pool_capacity)
@@ -187,12 +194,13 @@ class Controller:
         """
         if not self._awaiting_sample:
             raise ProtocolError("notify_sampled called twice for one step (or before any step)")
+        token_id = _checked_token(token_id, token_text)
         self._awaiting_sample = False
         self._ingest_token(token_id, token_text)
 
     def _ingest_token(self, token_id: int | None, token_text: str) -> None:
         if token_id is not None:
-            self._recent.append(int(token_id))
+            self._recent.append(token_id)
             span = self.config.repair.recent_window
             if len(self._recent) > span:
                 del self._recent[:-span]
@@ -221,6 +229,7 @@ class Controller:
         inline_token = token_id is not None or bool(token_text)
         if inline_token and not self._awaiting_sample:
             raise ProtocolError(f"step {t}: sampled token was already notified")
+        token_id = _checked_token(token_id, token_text)
         vocab = self.config.vocab_size
         cond = np.asarray(cond_logits, dtype=np.float64)
         if cond.ndim != 1 or cond.size != vocab:
@@ -242,11 +251,11 @@ class Controller:
         gradient = self._gradient(entropy)
         step_type = self._tracker.classify()
 
-        count = self._counter.update(entropy, mu)
-        phase, decision = self._detector.advance(t, entropy, mu, sigma, gradient, count)
+        phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
 
         directive, event = self._apply(
-            t, cond, ref_logits, entropy, mu, sigma, gradient, phase, step_type, decision
+            t, cond, cond_logprobs, ref_logits, entropy, mu, sigma, gradient, phase,
+            step_type, decision,
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
@@ -276,6 +285,7 @@ class Controller:
         self,
         t: int,
         cond: np.ndarray,
+        cond_logprobs: np.ndarray,
         ref_logits: np.ndarray | None,
         entropy: float,
         mu: float | None,
@@ -299,23 +309,17 @@ class Controller:
             weights = token_weights(
                 ref, normalized_entropy(entropy, self.config.vocab_size), params
             )
-            out = guided_logits(cond, ref, lam, weights)
+            out = guided_logits(cond_logprobs, ref, lam, weights)
             modified_entropy = shannon_entropy(out)
-            directive = Directive(logits=out, intervened=True, mode=Mode.REPAIR)
+            directive = Directive(logits=out, mode=Mode.REPAIR)
         elif decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
             ref, source = self._reference(ref_logits)
             lam = params.lambda_max
-            out, temperature = aggressive_recover(cond, ref, self._recent, params)
+            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params)
             modified_entropy = shannon_entropy(out)
             directive = Directive(
-                logits=out,
-                intervened=True,
-                mode=Mode.AGGRESSIVE,
-                temperature_override=temperature,
+                logits=out, mode=Mode.AGGRESSIVE, temperature_override=temperature
             )
-            # The escalation answered the persistent-high state; require a
-            # fresh run of above-mean steps before escalating again.
-            self._counter.reset()
         else:
             directive = Directive(logits=cond)
 

@@ -7,9 +7,11 @@ the local adaptive bound mu + alpha*sigma and an absolute floor.
 
 The state machine enforces the warmup / monitoring / repairing / cooldown
 rhythm: no evaluation during warmup, a severity-dependent repair of 1-3
-steps once triggered, and a fixed cooldown after every intervention. A
-persistent-high-entropy counter can escalate to aggressive recovery, which
-takes precedence over spike repair and is followed by the same cooldown.
+steps once triggered, and a fixed cooldown after every intervention. The
+detector also counts consecutive steps whose entropy exceeds the window
+mean; c_high of them escalate to aggressive recovery, which takes
+precedence over spike repair, restarts the count and is followed by the
+same cooldown.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 
 __all__ = [
     "DetectorConfig",
@@ -101,10 +103,6 @@ class Decision:
     duration: int | None = None
     repair_index: int | None = None
 
-    @property
-    def intervenes(self) -> bool:
-        return self.kind is not DecisionKind.NO_ACTION
-
 
 _NO_ACTION = Decision(DecisionKind.NO_ACTION)
 
@@ -142,11 +140,16 @@ def severity_duration(entropy: float, mu: float, sigma: float, cfg: DetectorConf
 
 
 class SpikeDetector:
-    """Per-stream control state machine; advance() must be called once per step."""
+    """Per-stream control state machine; advance() must be called once per step.
+
+    The caller owns the step order; the detector only counts the steps it
+    has seen, for warmup.
+    """
 
     def __init__(self, cfg: DetectorConfig | None = None):
         self.cfg = cfg or DetectorConfig()
-        self._next_t = 0
+        self._steps = 0
+        self._above_mean = 0
         self._repair_left = 0
         self._cool_left = 0
         self._repair_count = 0
@@ -158,24 +161,26 @@ class SpikeDetector:
 
     def advance(
         self,
-        t: int,
         entropy: float,
         mu: float | None,
         sigma: float | None,
         gradient: float | None,
-        high_count: int,
     ) -> tuple[Phase, Decision]:
         """Evaluate one step and return (phase during the step, decision).
 
         ``mu``/``sigma`` are the window stats before the current entropy is
-        pushed; None means no history yet. ``gradient`` is None when the
-        tail is too short, in which case the pre-filter passes (fail-open)
-        so early genuine spikes are not masked.
+        pushed; None means no history yet, which counts as not above the
+        mean. ``gradient`` is None when the tail is too short, in which case
+        the pre-filter passes (fail-open) so early genuine spikes are not
+        masked.
         """
-        if t != self._next_t:
-            raise ProtocolError(f"expected step {self._next_t}, got {t}")
-        self._next_t += 1
         cfg = self.cfg
+        t = self._steps
+        self._steps += 1
+        if mu is not None and entropy > mu:
+            self._above_mean += 1
+        else:
+            self._above_mean = 0
 
         if t < cfg.t_warm:
             return Phase.WARMUP, _NO_ACTION
@@ -192,7 +197,9 @@ class SpikeDetector:
             self._cool_left -= 1
             return Phase.COOLDOWN, _NO_ACTION
 
-        if high_count >= cfg.c_high:
+        if self._above_mean >= cfg.c_high:
+            # Require a fresh run of above-mean steps before escalating again.
+            self._above_mean = 0
             self._cool_left = cfg.t_cool
             return Phase.MONITORING, Decision(DecisionKind.AGGRESSIVE_RECOVER)
 

@@ -96,12 +96,16 @@ def _entropy_parts(z: np.ndarray) -> tuple[float, tuple[np.ndarray, float]]:
 
 
 def normalized_entropy(entropy: float, vocab_size: int) -> float:
-    """Entropy divided by its maximum log(vocab_size); lands in [0, 1]."""
+    """Entropy divided by its maximum log(vocab_size); lands in [0, 1].
+
+    The ratio is clamped at 1: a uniform distribution's computed entropy
+    can exceed log(vocab_size) by one ulp.
+    """
     if vocab_size < 2:
         raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
     if entropy < 0.0 or not math.isfinite(entropy):
         raise ValueError(f"entropy must be finite and non-negative, got {entropy}")
-    return entropy / math.log(vocab_size)
+    return min(entropy / math.log(vocab_size), 1.0)
 
 
 def apply_temperature(logits, temperature: float) -> np.ndarray:

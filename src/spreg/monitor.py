@@ -17,7 +17,7 @@ from collections import deque
 
 from .errors import NotReadyError
 
-__all__ = ["EntropyWindow", "HighEntropyCounter", "entropy_gradient"]
+__all__ = ["EntropyWindow", "entropy_gradient"]
 
 
 class EntropyWindow:
@@ -89,24 +89,3 @@ def entropy_gradient(values, n: int | None = None) -> float:
     den = math.fsum((i - x_bar) ** 2 for i in range(count))
     return num / den
 
-
-class HighEntropyCounter:
-    """Counts consecutive steps whose entropy exceeds the running mean."""
-
-    def __init__(self):
-        self.count = 0
-
-    def update(self, entropy: float, mu: float | None) -> int:
-        """Increment when entropy > mu, otherwise reset to zero.
-
-        ``mu`` is None before the window has any history; that counts as
-        not-above and resets.
-        """
-        if mu is not None and entropy > mu:
-            self.count += 1
-        else:
-            self.count = 0
-        return self.count
-
-    def reset(self) -> None:
-        self.count = 0

@@ -6,9 +6,14 @@ from a reference distribution in log-softmax space,
     guided = ref + scale * weights * (cond - ref)
 
 with a per-token weight vector derived from the standardized reference
-logits. The reference comes from an externally supplied distribution when
-available, otherwise it is synthesized from a pool of low-entropy
+log-probs. The reference comes from an externally supplied distribution
+when available, otherwise it is synthesized from a pool of low-entropy
 historical distributions, falling back to uniform.
+
+Precondition: the conditional and reference vectors passed in here are
+finite, normalized float64 log-probs (log_softmax output) of the stream's
+vocabulary size. The controller validates and normalizes each vector once
+per step, so this module checks only its scalar arguments and shapes.
 
 Aggressive recovery escalates: guidance at the capped scale, a repetition
 penalty over recently sampled token ids, and a sharp sampling-temperature
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import as_logits, log_softmax
+from .distributions import log_softmax
 from .errors import ConfigError
 from .plan_tracker import GuidanceTable, StepType
 
@@ -89,7 +94,10 @@ class ReferencePool:
         """Store the distribution iff entropy < mu; returns whether it was."""
         if not entropy < mu:
             return False
-        self._entries.append(as_logits(logprobs, self.vocab_size).copy())
+        entry = np.array(logprobs, dtype=np.float64)
+        if entry.shape != (self.vocab_size,):
+            raise ValueError(f"expected {self.vocab_size} log-probs, got shape {entry.shape}")
+        self._entries.append(entry)
         return True
 
     def synthesize(self) -> np.ndarray:
@@ -151,7 +159,7 @@ def token_weights(reference, normalized_entropy: float, params: RepairParams) ->
     """
     if not 0.0 <= normalized_entropy <= 1.0:
         raise ValueError(f"normalized entropy must be in [0, 1], got {normalized_entropy}")
-    ref = as_logits(reference)
+    ref = np.asarray(reference, dtype=np.float64)
     dev = ref - ref.mean()
     # Second centering pass removes the float residue of the first, which
     # the small (sigma + epsilon) divisor would otherwise amplify.
@@ -160,28 +168,26 @@ def token_weights(reference, normalized_entropy: float, params: RepairParams) ->
     return 1.0 + params.eta * normalized_entropy * dev / (sigma_ref + params.epsilon)
 
 
-def guided_logits(cond, ref_logprobs, scale: float, weights=None) -> np.ndarray:
+def guided_logits(cond_logprobs, ref_logprobs, scale: float, weights=None) -> np.ndarray:
     """Weighted extrapolation between conditional and reference.
 
-    Both inputs are normalized to log-softmax space first; the result is a
-    valid (unnormalized) logit vector for the host sampler. scale=1 with
-    unit weights reproduces the conditional; scale=0 reproduces the
-    reference.
+    Both inputs must be finite, normalized log-probs (log_softmax output);
+    they are not re-checked or renormalized here. The result is a valid
+    (unnormalized) logit vector for the host sampler. scale=1 with unit
+    weights reproduces the conditional; scale=0 reproduces the reference.
     """
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
-    cond = as_logits(cond)
-    ref = as_logits(ref_logprobs)
-    if cond.shape != ref.shape:
-        raise ValueError(f"shape mismatch: cond {cond.shape} vs ref {ref.shape}")
-    lc = log_softmax(cond)
-    lr = log_softmax(ref)
+    lc = np.asarray(cond_logprobs, dtype=np.float64)
+    lr = np.asarray(ref_logprobs, dtype=np.float64)
+    if lc.shape != lr.shape:
+        raise ValueError(f"shape mismatch: cond {lc.shape} vs ref {lr.shape}")
     if weights is None:
         w = 1.0
     else:
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != cond.shape:
-            raise ValueError(f"shape mismatch: weights {w.shape} vs cond {cond.shape}")
+        if w.shape != lc.shape:
+            raise ValueError(f"shape mismatch: weights {w.shape} vs cond {lc.shape}")
     return lr + scale * w * (lc - lr)
 
 
@@ -194,7 +200,7 @@ def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
     """
     if not rho > 1:
         raise ValueError(f"rho must be > 1, got {rho}")
-    z = as_logits(logits).copy()
+    z = np.array(logits, dtype=np.float64)
     ids = [i for i in set(recent_ids) if 0 <= i < z.size]
     if not ids:
         return z
@@ -205,7 +211,7 @@ def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
 
 
 def aggressive_recover(
-    cond,
+    cond_logprobs,
     ref_logprobs,
     recent_ids,
     params: RepairParams,
@@ -216,5 +222,5 @@ def aggressive_recover(
     set to break loops, and returns the sharp sampling temperature the
     host should use for this step.
     """
-    guided = guided_logits(cond, ref_logprobs, params.lambda_max)
+    guided = guided_logits(cond_logprobs, ref_logprobs, params.lambda_max)
     return repetition_penalty(guided, recent_ids, params.rho), params.t_recover

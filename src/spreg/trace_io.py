@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -68,6 +69,8 @@ class TraceRecord:
             object.__setattr__(self, "ref_logits", ref)
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
+        if self.token_text is not None and not isinstance(self.token_text, str):
+            raise ValueError(f"token_text must be a string, got {type(self.token_text).__name__}")
 
     def to_dict(self) -> dict:
         d: dict = {"t": self.t, "logits": [float(x) for x in self.logits]}
@@ -93,42 +96,46 @@ class TraceRecord:
             raise ValueError(f"bad trace record: {exc}") from exc
 
 
-def _open_for(path_or_file, mode: str):
+@contextmanager
+def _opened(path_or_file, mode: str):
+    """A path is opened (and closed) as UTF-8; an open file is used as given."""
     if isinstance(path_or_file, (str, Path)):
-        return open(path_or_file, mode, encoding="utf-8"), True
-    return path_or_file, False
+        with open(path_or_file, mode, encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield path_or_file
+
+
+def _jsonl(fh, parse):
+    """Yield (line number, parse(object)) per non-blank line of ``fh``."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            item = parse(json.loads(line))
+        except (KeyError, ValueError) as exc:
+            raise TraceFormatError(str(exc), line=lineno) from exc
+        yield lineno, item
 
 
 def write_trace(records: Iterable[TraceRecord], path_or_file) -> int:
     """Write records as JSONL; returns the number written."""
-    fh, owned = _open_for(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fh:
         n = 0
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), separators=(",", ":")))
             fh.write("\n")
             n += 1
         return n
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_trace(path_or_file) -> list[TraceRecord]:
     """Parse a JSONL trace, enforcing step order and a constant vocab size."""
-    fh, owned = _open_for(path_or_file, "r")
-    try:
+    with _opened(path_or_file, "r") as fh:
         records: list[TraceRecord] = []
         vocab: int | None = None
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                rec = TraceRecord.from_dict(payload)
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise TraceFormatError(str(exc), line=lineno) from exc
+        for lineno, rec in _jsonl(fh, TraceRecord.from_dict):
             if rec.t != len(records):
                 raise TraceFormatError(
                     f"step index jumped to {rec.t}, expected {len(records)}", line=lineno
@@ -141,41 +148,21 @@ def read_trace(path_or_file) -> list[TraceRecord]:
                 )
             records.append(rec)
         return records
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_events(events: Iterable[EventRecord], path_or_file) -> int:
-    fh, owned = _open_for(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fh:
         n = 0
         for event in events:
             fh.write(event.to_json())
             fh.write("\n")
             n += 1
         return n
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_events(path_or_file) -> list[EventRecord]:
-    fh, owned = _open_for(path_or_file, "r")
-    try:
-        events = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(EventRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise TraceFormatError(str(exc), line=lineno) from exc
-        return events
-    finally:
-        if owned:
-            fh.close()
+    with _opened(path_or_file, "r") as fh:
+        return [event for _, event in _jsonl(fh, EventRecord.from_dict)]
 
 
 # -- CSV export ---------------------------------------------------------------
@@ -206,8 +193,7 @@ def _cell(value) -> str:
 
 def export_csv(events: Iterable[EventRecord], path_or_file) -> int:
     """One row per step with the trajectory quantities, 6 significant digits."""
-    fh, owned = _open_for(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")
         n = 0
         for e in events:
@@ -226,9 +212,6 @@ def export_csv(events: Iterable[EventRecord], path_or_file) -> int:
             fh.write(",".join(_cell(v) for v in row) + "\n")
             n += 1
         return n
-    finally:
-        if owned:
-            fh.close()
 
 
 def replay_records(
@@ -327,12 +310,8 @@ class _Session:
     def _sampled(self, msg: dict) -> dict:
         if self.controller is None:
             return _error("not_initialized", "send init before sampled")
-        token_id = msg.get("token_id")
         try:
-            self.controller.notify_sampled(
-                None if token_id is None else int(token_id),
-                msg.get("token_text") or "",
-            )
+            self.controller.notify_sampled(msg.get("token_id"), msg.get("token_text") or "")
         except ProtocolError as exc:
             return _error("protocol", str(exc))
         except (TypeError, ValueError) as exc:

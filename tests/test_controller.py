@@ -77,20 +77,28 @@ class TestFailedStep:
     """A step that raises changes no stream state, so the host can retry its t."""
 
     @staticmethod
-    def step(ctrl, t, z, ref=None):
-        token_id, token_text = ((t - 1) % VOCAB, " x") if t else (None, None)
-        return ctrl.process_step(t, z, ref, token_id=token_id, token_text=token_text)
+    def step(ctrl, t, z, ref=None, **token):
+        token = {"token_id": (t - 1) % VOCAB, "token_text": " x", **token} if t else {}
+        return ctrl.process_step(t, z, ref, **token)
 
     @pytest.mark.parametrize(
-        "bad_t, cond, ref",
+        "bad_t, cond, ref, token",
         [
-            (3, np.full(VOCAB, np.nan), None),
-            (20, None, np.zeros(VOCAB + 1)),
-            (3, None, np.full(VOCAB, np.nan)),
+            (3, np.full(VOCAB, np.nan), None, {}),
+            (20, None, np.zeros(VOCAB + 1), {}),
+            (3, None, np.full(VOCAB, np.nan), {}),
+            (3, None, None, {"token_id": "abc"}),
+            (3, None, None, {"token_text": 5}),
         ],
-        ids=["nan_logits", "bad_ref_on_spike", "bad_ref_on_passthrough"],
+        ids=[
+            "nan_logits",
+            "bad_ref_on_spike",
+            "bad_ref_on_passthrough",
+            "bad_token_id",
+            "bad_token_text",
+        ],
     )
-    def test_retry_after_failed_step_matches_clean_run(self, bad_t, cond, ref):
+    def test_retry_after_failed_step_matches_clean_run(self, bad_t, cond, ref, token):
         rng = np.random.default_rng(3)
         inputs = [spike_logits() if t == 20 else stable_logits(rng) for t in range(40)]
         clean = Controller(make_config())
@@ -102,7 +110,7 @@ class TestFailedStep:
         for t, z in enumerate(inputs):
             if t == bad_t:
                 with pytest.raises(ValueError):
-                    self.step(ctrl, t, z if cond is None else cond, ref)
+                    self.step(ctrl, t, z if cond is None else cond, ref, **token)
             got.append(self.step(ctrl, t, z))
         assert [e.to_json() for _, e in got] == [e.to_json() for _, e in expected]
         for (a, _), (b, _) in zip(got, expected):
@@ -192,8 +200,21 @@ class TestRepairPath:
                 weights = token_weights(
                     log_softmax(ref), normalized_entropy(event.entropy, VOCAB), config.repair
                 )
-                expected = guided_logits(z, log_softmax(ref), lam, weights)
+                expected = guided_logits(log_softmax(z), log_softmax(ref), lam, weights)
                 assert directive.logits == pytest.approx(expected, abs=0)
+
+    def test_uniform_spike_is_repaired_at_vocab_14(self):
+        # At |V|=14 the computed entropy of uniform logits exceeds ln 14 by
+        # one ulp; the spike step must still be repaired.
+        rng = np.random.default_rng(3)
+        ctrl = Controller(ControllerConfig(vocab_size=14))
+        for t in range(20):
+            z = rng.standard_normal(14) * 0.1
+            z[0] += 4.5
+            ctrl.process_step(t, z)
+        directive, event = ctrl.process_step(20, np.zeros(14))
+        assert event.spike and directive.mode is Mode.REPAIR
+        assert np.all(np.isfinite(directive.logits))
 
     def test_modified_entropy_recorded_for_interventions(self):
         _, _, out = run_spike_trace(make_config())
@@ -270,6 +291,15 @@ class TestSampledTokens:
         ctrl.notify_sampled(1, "x")
         with pytest.raises(ProtocolError):
             ctrl.notify_sampled(1, "x")
+
+    @pytest.mark.parametrize("token_id, token_text", [("abc", ""), (1, 5)])
+    def test_bad_notify_leaves_the_token_pending(self, token_id, token_text):
+        ctrl = Controller(make_config())
+        ctrl.process_step(0, np.zeros(VOCAB))
+        with pytest.raises(ValueError):
+            ctrl.notify_sampled(token_id, token_text)
+        ctrl.notify_sampled(1, "x")
+        assert ctrl._recent == [1]
 
     def test_notify_before_any_step_rejected(self):
         ctrl = Controller(make_config())

@@ -121,6 +121,8 @@ def test_normalized_entropy():
     assert normalized_entropy(0.0, 16) == 0.0
     assert normalized_entropy(math.log(4), 4) == pytest.approx(1.0, abs=1e-12)
     assert normalized_entropy(0.940448, 4) == pytest.approx(0.678390, abs=1e-6)
+    # The computed entropy of uniform logits at |V|=14 is one ulp above ln 14.
+    assert normalized_entropy(shannon_entropy(np.zeros(14)), 14) <= 1.0
     with pytest.raises(ValueError):
         normalized_entropy(1.0, 1)
     with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreg.errors import NotReadyError
-from spreg.monitor import EntropyWindow, HighEntropyCounter, entropy_gradient
+from spreg.monitor import EntropyWindow, entropy_gradient
 
 from _oracles import naive_slope, naive_window_stats
 
@@ -125,35 +125,3 @@ class TestEntropyGradient:
         start, diff = rng.uniform(0, 2), rng.uniform(-0.3, 0.3)
         series = [start + diff * i for i in range(5)]
         assert entropy_gradient(series) == pytest.approx(diff, abs=1e-12)
-
-
-class TestHighEntropyCounter:
-    def test_increment(self):
-        c = HighEntropyCounter()
-        c.count = 49
-        assert c.update(2.5, 2.0) == 50
-
-    def test_reset_on_equal(self):
-        c = HighEntropyCounter()
-        c.count = 49
-        assert c.update(2.0, 2.0) == 0
-
-    def test_reset_when_no_history(self):
-        c = HighEntropyCounter()
-        c.count = 10
-        assert c.update(3.0, None) == 0
-
-    @given(st.lists(st.floats(min_value=0, max_value=4, allow_nan=False), min_size=1, max_size=80))
-    @settings(max_examples=200)
-    def test_counter_equals_trailing_run_length(self, values):
-        mu = 2.0
-        c = HighEntropyCounter()
-        for v in values:
-            c.update(v, mu)
-        expected = 0
-        for v in reversed(values):
-            if v > mu:
-                expected += 1
-            else:
-                break
-        assert c.count == expected

@@ -179,7 +179,7 @@ class TestGuidedLogits:
         assert log_softmax(out) == pytest.approx(ref, abs=1e-9)
 
     def test_hand_worked_extrapolation(self):
-        out = guided_logits([2.0, 0.0], log_softmax([1.0, 1.0]), 2.0)
+        out = guided_logits(log_softmax([2.0, 0.0]), log_softmax([1.0, 1.0]), 2.0)
         assert out == pytest.approx([0.439291, -3.560709], abs=1e-6)
         # The guided gap doubles from 2 to 4, so p = sigmoid(+-4).
         exact = 1.0 / (1.0 + math.exp(4.0))

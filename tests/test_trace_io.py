@@ -196,9 +196,12 @@ class TestWireProtocol:
         assert responses[1]["code"] == "not_initialized"
 
     def test_malformed_frame_skipped_session_continues(self):
+        bad_text = {"t": 0, "logits": [0.0] * 4, "token_text": 5}
         stdin = io.StringIO(
             "not json at all\n"
             + json.dumps({"kind": "init", "vocab_size": 4})
+            + "\n"
+            + json.dumps({"kind": "step", "record": bad_text})
             + "\n"
             + json.dumps({"kind": "finish"})
             + "\n"
@@ -209,7 +212,9 @@ class TestWireProtocol:
         assert responses[0]["kind"] == "error"
         assert responses[0]["code"] == "bad_frame"
         assert responses[1] == {"kind": "ready"}
-        assert responses[2]["kind"] == "summary"
+        assert responses[2]["kind"] == "error"
+        assert responses[2]["code"] == "bad_frame"
+        assert responses[3]["kind"] == "summary"
 
     def test_unknown_kind_and_bad_step_order(self):
         records = random_records(2, vocab=8)
@@ -233,15 +238,17 @@ class TestWireProtocol:
             [
                 {"kind": "init", "vocab_size": 8},
                 {"kind": "step", "record": {"t": 0, "logits": records[0].to_dict()["logits"]}},
+                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": 5},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": "hi"},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": "hi"},
                 {"kind": "finish"},
             ]
         )
         assert responses[1]["kind"] == "directive"
-        assert responses[2] == {"kind": "ready"}
-        assert responses[3]["code"] == "protocol"
-        assert responses[4]["kind"] == "summary"
+        assert responses[2]["code"] == "bad_frame"
+        assert responses[3] == {"kind": "ready"}
+        assert responses[4]["code"] == "protocol"
+        assert responses[5]["kind"] == "summary"
 
     def test_init_config_applies(self):
         responses = run_wire(
