@@ -16,8 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import config_from_dict, load_config_dict
-from .controller import ControllerConfig
+from .config import load_config, load_config_dict
 from .errors import ConfigError, ProtocolError, TraceFormatError
 from .harness import BUILTIN_SCENARIOS, Scenario, evaluate, generate
 from .trace_io import (
@@ -72,15 +71,9 @@ def _load_scenario(spec: str) -> Scenario:
     raise ConfigError(f"scenario {spec!r} is neither a file nor a built-in name")
 
 
-def _config_for(path: str | None, vocab_size: int) -> ControllerConfig:
-    if path is None:
-        return ControllerConfig(vocab_size=vocab_size)
-    return config_from_dict(load_config_dict(path), vocab_size=vocab_size)
-
-
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
-    config = _config_for(args.config, scenario.vocab_size)
+    config = load_config(args.config, scenario.vocab_size)
     records, truth = generate(scenario, seed=args.seed, detector=config.detector)
     if args.trace:
         write_trace(records, args.trace)
@@ -98,7 +91,7 @@ def _cmd_replay(args) -> int:
     records = read_trace(args.trace)
     if not records:
         raise TraceFormatError("trace is empty")
-    config = _config_for(args.config, records[0].logits.size)
+    config = load_config(args.config, records[0].logits.size)
     _, events, summary = replay_records(config, records)
     if args.events:
         write_events(events, args.events)
@@ -109,8 +102,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    base = load_config_dict(args.config) if args.config else None
-    return serve_stdio(base)
+    return serve_stdio(load_config_dict(args.config))
 
 
 def _cmd_analyze(args) -> int:

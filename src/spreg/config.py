@@ -1,15 +1,30 @@
-"""JSON configuration files mirroring ControllerConfig field names.
+"""JSON configuration: the one gate from outside configuration to a ControllerConfig.
 
-Every section may carry a ``doc`` object describing its fields; loaders
-ignore it. The ``patterns`` entry may be null (packaged defaults), a path
-to a pattern file (resolved against the config file's directory), or an
-inline pattern object.
+``config_from_dict`` is the only function that turns outside configuration
+(a ``--config`` file, ``serve --config`` or a wire ``init.config``) into a
+``ControllerConfig``. A dict it accepts builds a Controller that runs;
+anything else raises ``ConfigError`` naming the bad key or value:
+
+- an unknown key is an error;
+- the config, each section and each guidance table must be an object;
+- an integer field takes only an int (not a bool, not 2.5);
+- a real-valued field takes only a finite int or float;
+- inline patterns are checked as ``PatternSet`` checks a pattern file.
+
+The gate checks types and finiteness, not size: a window of 2**63 passes
+here. Every section may carry a ``doc`` object describing its fields;
+the gate ignores it. The ``patterns`` entry may be null (packaged
+defaults), a path to a pattern file (resolved against the config file's
+directory), or an inline pattern object.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .controller import ControllerConfig
 from .detector import DetectorConfig
@@ -20,58 +35,63 @@ from .repair import RepairParams
 __all__ = ["config_from_dict", "load_config", "load_config_dict", "config_to_dict"]
 
 
-def _section(d: dict, name: str) -> dict:
-    body = d.get(name) or {}
-    if not isinstance(body, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return {k: v for k, v in body.items() if k != "doc"}
+def _object(value, what: str) -> dict:
+    """``value`` without its ``doc`` entry; it must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got {type(value).__name__}")
+    return {k: v for k, v in value.items() if k != "doc"}
 
 
-def _step_map(raw: dict, name: str) -> dict[StepType, float]:
-    out: dict[StepType, float] = {}
-    for key, value in raw.items():
-        if key == "doc":
-            continue
-        try:
-            out[StepType(key)] = float(value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad {name} entry {key!r}: {exc}") from exc
-    return out
+def _reject_unknown(body: dict, known, what: str) -> None:
+    unknown = set(body) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
+def _number(value, kind: type, what: str):
+    """An int for an ``int`` field, a finite float for a ``float`` field."""
+    if not isinstance(value, bool):
+        if kind is int and isinstance(value, int):
+            return value
+        if kind is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+            return float(value)
+    wanted = "an integer" if kind is int else "a finite number"
+    raise ConfigError(f"{what} must be {wanted}, got {value!r}")
+
+
+def _dataclass_section(cls, d: dict, name: str):
+    body = _object(d.get(name, {}), f"config section {name!r}")
+    kinds = get_type_hints(cls)
+    _reject_unknown(body, kinds, name)
+    return cls(**{k: _number(v, kinds[k], f"{name}.{k}") for k, v in body.items()})
+
+
+def _guidance(d: dict) -> GuidanceTable:
+    body = _object(d.get("guidance", {}), "config section 'guidance'")
+    defaults = GuidanceTable()
+    names = [f.name for f in fields(GuidanceTable)]
+    _reject_unknown(body, names, "guidance")
+    tables = {}
+    for name in names:
+        table = dict(getattr(defaults, name))
+        for key, value in _object(body.get(name, {}), f"guidance.{name}").items():
+            try:
+                step = StepType(key)
+            except ValueError:
+                raise ConfigError(f"unknown guidance.{name} step type {key!r}") from None
+            table[step] = _number(value, float, f"guidance.{name}.{key}")
+        tables[name] = table
+    return GuidanceTable(**tables)
 
 
 def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig:
-    d = {k: v for k, v in d.items() if k != "doc"}
-    known = {"vocab_size", "detector_preset", "detector", "repair", "guidance", "patterns"}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    """Build a ControllerConfig; ``vocab_size`` overrides the dict's own."""
+    d = _object(d, "config")
+    _reject_unknown(d, [f.name for f in fields(ControllerConfig)], "config")
     if vocab_size is not None:
         d["vocab_size"] = vocab_size
     if "vocab_size" not in d:
         raise ConfigError("config requires vocab_size")
-
-    preset = d.get("detector_preset", "default")
-    try:
-        detector = DetectorConfig.from_preset(preset, **_section(d, "detector"))
-        repair = RepairParams(**_section(d, "repair"))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    guidance_raw = _section(d, "guidance")
-    table_kwargs = {}
-    if "lambda_base" in guidance_raw:
-        base = GuidanceTable()
-        table_kwargs["lambda_base"] = {
-            **base.lambda_base,
-            **_step_map(guidance_raw["lambda_base"], "lambda_base"),
-        }
-    if "gamma" in guidance_raw:
-        base = GuidanceTable()
-        table_kwargs["gamma"] = {**base.gamma, **_step_map(guidance_raw["gamma"], "gamma")}
-    extra = set(guidance_raw) - {"lambda_base", "gamma"}
-    if extra:
-        raise ConfigError(f"unknown guidance keys: {', '.join(sorted(extra))}")
-    guidance = GuidanceTable(**table_kwargs)
 
     patterns_spec = d.get("patterns")
     if patterns_spec is None:
@@ -83,17 +103,22 @@ def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig
     else:
         raise ConfigError("patterns must be null, a path, or an inline object")
 
-    try:
-        size = int(d["vocab_size"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad vocab_size: {exc}") from exc
     return ControllerConfig(
-        vocab_size=size, detector=detector, repair=repair, guidance=guidance, patterns=patterns
+        vocab_size=_number(d["vocab_size"], int, "vocab_size"),
+        detector=_dataclass_section(DetectorConfig, d, "detector"),
+        repair=_dataclass_section(RepairParams, d, "repair"),
+        guidance=_guidance(d),
+        patterns=patterns,
     )
 
 
-def load_config_dict(path: str | Path) -> dict:
-    """Read a config file to a dict, resolving a relative patterns path."""
+def load_config_dict(path: str | Path | None) -> dict:
+    """Read a config file to a dict, resolving a relative patterns path.
+
+    No path reads as an empty config.
+    """
+    if path is None:
+        return {}
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -107,7 +132,7 @@ def load_config_dict(path: str | Path) -> dict:
     return payload
 
 
-def load_config(path: str | Path, vocab_size: int | None = None) -> ControllerConfig:
+def load_config(path: str | Path | None, vocab_size: int | None = None) -> ControllerConfig:
     return config_from_dict(load_config_dict(path), vocab_size=vocab_size)
 
 

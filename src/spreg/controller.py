@@ -21,7 +21,6 @@ the input logits through bit-identical.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -151,7 +150,7 @@ class StreamSummary:
     spikes: int
     repair_steps: int
     aggressive_recoveries: int
-    mean_entropy: float
+    mean_entropy: float | None  # None before the first step
 
 
 def _checked_token(token_id, token_text) -> int | None:
@@ -186,7 +185,7 @@ class Controller:
 
     # -- token feedback ----------------------------------------------------
 
-    def notify_sampled(self, token_id: int | None, token_text: str = "") -> None:
+    def notify_sampled(self, token_id: int | None, token_text: str | None = "") -> None:
         """Report the token the host sampled after the last process_step.
 
         At most one notification per step; the same information may instead
@@ -348,5 +347,5 @@ class Controller:
             spikes=self._detector.repair_count,
             repair_steps=self._modes[Mode.REPAIR],
             aggressive_recoveries=self._modes[Mode.AGGRESSIVE],
-            mean_entropy=self._entropy_sum / steps if steps else math.nan,
+            mean_entropy=self._entropy_sum / steps if steps else None,
         )

@@ -17,14 +17,13 @@ same cooldown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
 
 __all__ = [
     "DetectorConfig",
-    "DETECTOR_PRESETS",
     "Phase",
     "DecisionKind",
     "Decision",
@@ -64,23 +63,6 @@ class DetectorConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(f"{msg} (got {self})")
-
-    @classmethod
-    def from_preset(cls, name: str, **overrides) -> "DetectorConfig":
-        try:
-            base = DETECTOR_PRESETS[name]
-        except KeyError:
-            known = ", ".join(sorted(DETECTOR_PRESETS))
-            raise ConfigError(f"unknown detector preset {name!r} (known: {known})") from None
-        return replace(base, **overrides) if overrides else base
-
-
-# "conservative" raises the relative sensitivity so only larger deviations
-# from the local mean count as spikes.
-DETECTOR_PRESETS = {
-    "default": DetectorConfig(),
-    "conservative": DetectorConfig(alpha=2.0),
-}
 
 
 class Phase(str, Enum):

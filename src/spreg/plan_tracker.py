@@ -21,9 +21,10 @@ from typing import Mapping
 
 from .errors import ConfigError
 
-__all__ = ["StepType", "PatternSet", "PlanTracker", "GuidanceTable", "DEFAULT_TAIL_LIMIT"]
+__all__ = ["StepType", "PatternSet", "PlanTracker", "GuidanceTable"]
 
-DEFAULT_TAIL_LIMIT = 256
+# Characters of recent stream text the tracker scans.
+_TAIL_LIMIT = 256
 
 
 class StepType(str, Enum):
@@ -47,17 +48,28 @@ def _compile_keyword(keyword: str) -> re.Pattern:
     return re.compile(rf"(?<!\w){re.escape(keyword)}(?!\w)", re.IGNORECASE)
 
 
+def _strings(entry: dict, key: str, step: StepType) -> list[str]:
+    values = entry.get(key, [])
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise ConfigError(f"{key} for {step.value!r} must be a list of strings")
+    return values
+
+
 class PatternSet:
     """Compiled per-step-type keyword and regex cues; immutable after load."""
 
-    def __init__(self, spec: Mapping[str, Mapping[str, list[str]]]):
+    def __init__(self, spec: dict[str, dict[str, list[str]]]):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"patterns must be an object, got {type(spec).__name__}")
         self._patterns: list[tuple[StepType, re.Pattern]] = []
         for step in StepType:
             entry = spec.get(step.value)
             if entry is None:
                 raise ConfigError(f"pattern file missing step type {step.value!r}")
-            keywords = entry.get("keywords", [])
-            cues = entry.get("regex_cues", [])
+            if not isinstance(entry, dict):
+                raise ConfigError(f"patterns for {step.value!r} must be an object")
+            keywords = _strings(entry, "keywords", step)
+            cues = _strings(entry, "regex_cues", step)
             if not keywords and not cues:
                 raise ConfigError(f"step type {step.value!r} needs at least one pattern")
             for kw in keywords:
@@ -103,11 +115,8 @@ class PatternSet:
 class PlanTracker:
     """Sticky classifier over a bounded tail of decoded stream text."""
 
-    def __init__(self, patterns: PatternSet | None = None, tail_limit: int = DEFAULT_TAIL_LIMIT):
-        if tail_limit < 1:
-            raise ConfigError(f"tail_limit must be >= 1, got {tail_limit}")
+    def __init__(self, patterns: PatternSet | None = None):
         self.patterns = patterns or PatternSet.default()
-        self.tail_limit = tail_limit
         self._tail = ""
         self._active = StepType.REASONING
         self._dirty = False
@@ -120,7 +129,7 @@ class PlanTracker:
         """Append decoded token text; empty text (special tokens) is a no-op."""
         if not token_text:
             return
-        self._tail = (self._tail + token_text)[-self.tail_limit:]
+        self._tail = (self._tail + token_text)[-_TAIL_LIMIT:]
         self._dirty = True
 
     def classify(self) -> StepType:

@@ -79,10 +79,6 @@ class ReferencePool:
     """
 
     def __init__(self, vocab_size: int, capacity: int = 32):
-        if vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
-        if capacity < 1:
-            raise ConfigError(f"capacity must be >= 1, got {capacity}")
         self.vocab_size = vocab_size
         self.capacity = capacity
         self._entries: deque[np.ndarray] = deque(maxlen=capacity)

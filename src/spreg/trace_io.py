@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
 import numpy as np
 
+from .config import config_from_dict
 from .controller import Controller, ControllerConfig, Directive, EventRecord, StreamSummary
 from .errors import ConfigError, ProtocolError, TraceFormatError
 
@@ -73,9 +74,9 @@ class TraceRecord:
             raise ValueError(f"token_text must be a string, got {type(self.token_text).__name__}")
 
     def to_dict(self) -> dict:
-        d: dict = {"t": self.t, "logits": [float(x) for x in self.logits]}
+        d: dict = {"t": self.t, "logits": self.logits.tolist()}
         if self.ref_logits is not None:
-            d["ref_logits"] = [float(x) for x in self.ref_logits]
+            d["ref_logits"] = self.ref_logits.tolist()
         if self.token_id is not None:
             d["token_id"] = self.token_id
         if self.token_text is not None:
@@ -114,7 +115,7 @@ def _jsonl(fh, parse):
             continue
         try:
             item = parse(json.loads(line))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
         yield lineno, item
 
@@ -241,7 +242,7 @@ def _feed(controller: Controller, rec: TraceRecord) -> tuple[Directive, EventRec
 def _directive_payload(t: int, directive: Directive, event: EventRecord) -> dict:
     payload: dict = {"kind": "directive", "t": t, "intervened": directive.intervened}
     if directive.intervened:
-        payload["logits"] = [float(x) for x in directive.logits.astype(np.float32)]
+        payload["logits"] = directive.logits.astype(np.float32).tolist()
         if directive.temperature_override is not None:
             payload["temperature"] = directive.temperature_override
     payload["event"] = event.to_dict()
@@ -255,7 +256,7 @@ def _error(code: str, message: str) -> dict:
 class _Session:
     """Request dispatch for one stdio session."""
 
-    def __init__(self, base_config: ControllerConfig | dict | None):
+    def __init__(self, base_config: dict):
         self.base_config = base_config
         self.controller: Controller | None = None
 
@@ -272,22 +273,14 @@ class _Session:
         return _error("bad_frame", f"unknown request kind {kind!r}")
 
     def _init(self, msg: dict) -> dict:
-        from .config import config_from_dict  # local import to avoid a cycle
-
-        try:
-            vocab_size = int(msg["vocab_size"])
-        except (KeyError, TypeError, ValueError):
+        vocab_size = msg.get("vocab_size")
+        if isinstance(vocab_size, bool) or not isinstance(vocab_size, int):
             return _error("bad_frame", "init requires an integer vocab_size")
+        payload = msg.get("config")
+        if payload is None:
+            payload = self.base_config
         try:
-            if msg.get("config") is not None:
-                config = config_from_dict(dict(msg["config"]), vocab_size=vocab_size)
-            elif isinstance(self.base_config, ControllerConfig):
-                config = replace(self.base_config, vocab_size=vocab_size)
-            elif isinstance(self.base_config, dict):
-                config = config_from_dict(self.base_config, vocab_size=vocab_size)
-            else:
-                config = ControllerConfig(vocab_size=vocab_size)
-            self.controller = Controller(config)
+            self.controller = Controller(config_from_dict(payload, vocab_size=vocab_size))
         except ConfigError as exc:
             return _error("config", str(exc))
         return {"kind": "ready"}
@@ -311,7 +304,7 @@ class _Session:
         if self.controller is None:
             return _error("not_initialized", "send init before sampled")
         try:
-            self.controller.notify_sampled(msg.get("token_id"), msg.get("token_text") or "")
+            self.controller.notify_sampled(msg.get("token_id"), msg.get("token_text"))
         except ProtocolError as exc:
             return _error("protocol", str(exc))
         except (TypeError, ValueError) as exc:
@@ -326,18 +319,18 @@ class _Session:
 
 
 def serve_stdio(
-    config: ControllerConfig | dict | None = None,
+    config: dict | None = None,
     stdin: TextIO | None = None,
     stdout: TextIO | None = None,
 ) -> int:
     """Run the request/response loop until a finish request or EOF.
 
-    ``config`` provides defaults when the init message carries no config
-    payload of its own.
+    ``config`` is the config dict used when the init message carries no
+    config payload of its own.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
-    session = _Session(config)
+    session = _Session(config or {})
     for line in stdin:
         line = line.strip()
         if not line:

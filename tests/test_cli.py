@@ -1,12 +1,21 @@
 import json
+from dataclasses import fields
+from importlib import resources
 
 import pytest
 
 from spreg.cli import main
 from spreg.config import config_from_dict, config_to_dict, load_config
 from spreg.controller import ControllerConfig
+from spreg.detector import DetectorConfig
 from spreg.errors import ConfigError
-from spreg.plan_tracker import StepType
+from spreg.plan_tracker import GuidanceTable, StepType
+from spreg.repair import RepairParams
+
+
+def packaged_default_config() -> dict:
+    path = resources.files("spreg").joinpath("data").joinpath("config.default.json")
+    return json.loads(path.read_text())
 
 
 class TestConfigLoading:
@@ -30,10 +39,6 @@ class TestConfigLoading:
         assert cfg.guidance.lambda_base[StepType.CONCLUSION] == 2.0
         assert cfg.guidance.lambda_base[StepType.REASONING] == 1.5
 
-    def test_preset_selection(self):
-        cfg = config_from_dict({"vocab_size": 8, "detector_preset": "conservative"})
-        assert cfg.detector.alpha == 2.0
-
     def test_doc_keys_ignored(self):
         cfg = config_from_dict(
             {"vocab_size": 8, "detector": {"alpha": 1.0, "doc": {"alpha": "sensitivity"}}}
@@ -48,17 +53,15 @@ class TestConfigLoading:
         for key, value in (("direction", "toward-conditional"), ("pool_aggregation", "log")):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({"vocab_size": 8, "repair": {key: value}})
+        with pytest.raises(ConfigError, match="detector_preset"):
+            config_from_dict({"vocab_size": 8, "detector_preset": "conservative"})
 
     def test_vocab_required(self):
         with pytest.raises(ConfigError):
             config_from_dict({})
 
     def test_packaged_default_file_loads(self):
-        from importlib import resources
-
-        payload = json.loads(
-            resources.files("spreg").joinpath("data").joinpath("config.default.json").read_text()
-        )
+        payload = packaged_default_config()
         cfg = config_from_dict(payload)
         assert cfg.vocab_size == 64
         assert cfg.repair.t_recover == 0.3
@@ -72,6 +75,21 @@ class TestConfigLoading:
         (tmp_path / "cfg.json").write_text(json.dumps({"vocab_size": 8, "patterns": "p.json"}))
         cfg = load_config(tmp_path / "cfg.json")
         assert cfg.patterns is not None
+
+    def test_default_file_documents_every_field(self):
+        payload = packaged_default_config()
+        assert set(payload) == {f.name for f in fields(ControllerConfig)}
+        for name, cls in (
+            ("detector", DetectorConfig),
+            ("repair", RepairParams),
+            ("guidance", GuidanceTable),
+        ):
+            section = dict(payload[name])
+            doc = section.pop("doc")
+            names = {f.name for f in fields(cls)}
+            assert set(section) == names, name
+            assert set(doc) == names, name
+            assert all(isinstance(line, str) and line for line in doc.values()), name
 
     def test_round_trip_through_dict(self):
         cfg = ControllerConfig(vocab_size=32)
@@ -109,11 +127,20 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        bad.write_text(json.dumps({"detector": {"window": 1.5}}))
+        assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        assert "detector.window" in capsys.readouterr().err
 
     def test_malformed_trace_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text('{"t": 0, "logits": [0.1, 0.2]}\n{"t": 5, "logits": [0.1, 0.2]}\n')
         assert main(["replay", "--trace", str(trace)]) == 3
+
+    @pytest.mark.parametrize("line", ["5", "[1, 2]"])
+    def test_malformed_events_exit_3(self, tmp_path, line):
+        events = tmp_path / "events.jsonl"
+        events.write_text(line + "\n")
+        assert main(["analyze", "--events", str(events), "--csv", str(tmp_path / "o.csv")]) == 3
 
     def test_empty_trace_exits_3(self, tmp_path):
         trace = tmp_path / "t.jsonl"

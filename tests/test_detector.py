@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreg.detector import (
-    DETECTOR_PRESETS,
     DecisionKind,
     DetectorConfig,
     Phase,
@@ -45,13 +44,6 @@ class TestConfig:
     def test_defaults(self):
         assert (CFG.alpha, CFG.h_min, CFG.g_min, CFG.h_extreme) == (1.5, 2.0, 0.3, 3.5)
         assert (CFG.t_warm, CFG.t_cool, CFG.n_grad, CFG.c_high) == (5, 30, 5, 50)
-
-    def test_presets(self):
-        assert DETECTOR_PRESETS["default"].alpha == 1.5
-        assert DETECTOR_PRESETS["conservative"].alpha == 2.0
-        assert DetectorConfig.from_preset("conservative", t_cool=10).t_cool == 10
-        with pytest.raises(ConfigError):
-            DetectorConfig.from_preset("nope")
 
     @pytest.mark.parametrize(
         "kwargs",

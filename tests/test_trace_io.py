@@ -1,10 +1,14 @@
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spreg.controller import ControllerConfig
+from spreg.config import config_from_dict
+from spreg.controller import ControllerConfig, Mode
 from spreg.errors import TraceFormatError
 from spreg.harness import Scenario, StableRegime, SpikeInjection, generate
 from spreg.trace_io import (
@@ -165,11 +169,47 @@ class TestCsvExport:
             assert cells[9] == event.mode.value
 
 
-def run_wire(requests: list[dict], config=None) -> list[dict]:
-    stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def parse_response(line: str) -> dict:
+    """Parse one response as strict RFC 8259 JSON, which has no NaN or Infinity."""
+    return json.loads(line, parse_constant=_reject_constant)
+
+
+def run_wire(requests: list[dict | str], config=None) -> list[dict]:
+    """Serve ``requests`` (objects, or raw lines sent as given) in one session."""
+    lines = (r if isinstance(r, str) else json.dumps(r) for r in requests)
+    stdin = io.StringIO("\n".join(lines) + "\n")
     stdout = io.StringIO()
     assert serve_stdio(config, stdin=stdin, stdout=stdout) == 0
-    return [json.loads(line) for line in stdout.getvalue().splitlines()]
+    return [parse_response(line) for line in stdout.getvalue().splitlines()]
+
+
+def _pattern_config(action_entry) -> dict:
+    patterns = {s: {"keywords": [s]} for s in ("reasoning", "observation", "conclusion")}
+    return {"patterns": {**patterns, "action": action_entry}}
+
+
+# Each is rejected at init with a ``config`` error.
+BAD_CONFIGS = [
+    {"detector": {"alpha": -1}},
+    5,
+    "abc",
+    {"detector": {"window": 1.5}},
+    {"detector": {"n_grad": 2.5}},
+    {"detector": {"t_cool": True}},
+    {"repair": {"pool_capacity": 2.5}},
+    {"repair": {"recent_window": 2.5}},
+    {"repair": {"lambda_max": float("inf")}},
+    {"guidance": {"lambda_base": 5}},
+    {"guidance": {"gamma": {"action": float("inf")}}},
+    _pattern_config(5),
+    _pattern_config({"keywords": 5}),
+    _pattern_config({"keywords": [5]}),
+    {"detector_preset": "conservative"},
+]
 
 
 class TestWireProtocol:
@@ -208,7 +248,7 @@ class TestWireProtocol:
         )
         stdout = io.StringIO()
         serve_stdio(None, stdin=stdin, stdout=stdout)
-        responses = [json.loads(l) for l in stdout.getvalue().splitlines()]
+        responses = [parse_response(l) for l in stdout.getvalue().splitlines()]
         assert responses[0]["kind"] == "error"
         assert responses[0]["code"] == "bad_frame"
         assert responses[1] == {"kind": "ready"}
@@ -239,16 +279,18 @@ class TestWireProtocol:
                 {"kind": "init", "vocab_size": 8},
                 {"kind": "step", "record": {"t": 0, "logits": records[0].to_dict()["logits"]}},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": 5},
+                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": 0},
+                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": []},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": "hi"},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": "hi"},
                 {"kind": "finish"},
             ]
         )
         assert responses[1]["kind"] == "directive"
-        assert responses[2]["code"] == "bad_frame"
-        assert responses[3] == {"kind": "ready"}
-        assert responses[4]["code"] == "protocol"
-        assert responses[5]["kind"] == "summary"
+        assert [r["code"] for r in responses[2:5]] == ["bad_frame"] * 3
+        assert responses[5] == {"kind": "ready"}
+        assert responses[6]["code"] == "protocol"
+        assert responses[7]["kind"] == "summary"
 
     def test_init_config_applies(self):
         responses = run_wire(
@@ -262,11 +304,19 @@ class TestWireProtocol:
         assert responses[1]["event"]["phase"] == "monitoring"
 
     def test_init_bad_config_reports_config_error(self):
-        responses = run_wire(
-            [{"kind": "init", "vocab_size": 8, "config": {"detector": {"alpha": -1}}}]
-        )
-        assert responses[0]["kind"] == "error"
-        assert responses[0]["code"] == "config"
+        for config in BAD_CONFIGS:
+            responses = run_wire([{"kind": "init", "vocab_size": 8, "config": config}])
+            assert (responses[0]["kind"], responses[0]["code"]) == ("error", "config"), config
+
+    def test_init_vocab_size_must_be_an_integer(self):
+        for vocab_size in (8.9, "8", True, None):
+            responses = run_wire([{"kind": "init", "vocab_size": vocab_size}])
+            assert responses[0]["code"] == "bad_frame", vocab_size
+
+    def test_zero_step_summary_is_json(self):
+        responses = run_wire([{"kind": "init", "vocab_size": 8}, {"kind": "finish"}])
+        assert responses[1]["total_steps"] == 0
+        assert responses[1]["mean_entropy"] is None
 
     def test_passthrough_directives_have_no_logits(self):
         records = random_records(3, vocab=8)
@@ -298,3 +348,98 @@ class TestWireProtocol:
         _, events, summary = replay_records(ControllerConfig(vocab_size=VOCAB), records)
         assert wire_events == [e.to_dict() for e in events]
         assert responses[-1]["spikes"] == summary.spikes
+
+
+# -- wire fault injection --------------------------------------------------------
+
+FAULT_CONFIG = {
+    "detector": {"h_min": 1.0, "h_extreme": 1.9, "t_warm": 3, "t_cool": 4, "c_high": 6}
+}
+
+
+def fault_session_records() -> list[TraceRecord]:
+    """60 steps at |V|=8 with repair and aggressive steps under FAULT_CONFIG.
+
+    Every sampled token is reported inline, so a ``sampled`` frame is
+    never valid in this session.
+    """
+    rng = np.random.default_rng(3)
+    records = []
+    for t in range(60):
+        scale = 0.2 if (t % 13 == 12 or 44 <= t < 54) else 4.0
+        records.append(
+            TraceRecord(
+                t=t,
+                logits=(rng.standard_normal(8) * scale).astype(np.float32),
+                token_id=None if t == 0 else int(rng.integers(8)),
+                token_text=None if t == 0 else "x",
+            )
+        )
+    return records
+
+
+FAULT_RECORDS = fault_session_records()
+FAULT_REPLAY = replay_records(config_from_dict(FAULT_CONFIG, vocab_size=8), FAULT_RECORDS)
+FAULT_FRAMES = (
+    [{"kind": "init", "vocab_size": 8, "config": FAULT_CONFIG}]
+    + [{"kind": "step", "record": r.to_dict()} for r in FAULT_RECORDS]
+    + [{"kind": "finish"}]
+)
+
+
+def _step_frame(t: int, logits: list) -> dict:
+    return {"kind": "step", "record": {"t": t, "logits": logits}}
+
+
+# Each maps the step the session expects next to one bad frame.
+BAD_FRAMES = (
+    [lambda t, c=c: {"kind": "init", "vocab_size": 8, "config": c} for c in BAD_CONFIGS]
+    + [lambda t, v=v: {"kind": "init", "vocab_size": v} for v in (8.9, "8")]
+    + [
+        lambda t: _step_frame(t, [float("nan")] * 8),
+        lambda t: _step_frame(t, [0.0] * 9),
+        lambda t: _step_frame(t - 1, [0.0] * 8),
+        lambda t: _step_frame(t + 1, [0.0] * 8),
+        lambda t: json.dumps(_step_frame(t, [0.0] * 8))[:30],
+    ]
+    + [
+        lambda t, v=v: {"kind": "sampled", "token_id": 1, "token_text": v}
+        for v in (5, 0, False, [], {})
+    ]
+)
+
+
+class TestWireFaultInjection:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        faults=st.lists(
+            st.tuples(st.integers(0, len(FAULT_FRAMES) - 1), st.sampled_from(BAD_FRAMES)),
+            max_size=10,
+        )
+    )
+    def test_each_bad_frame_gets_one_error_and_the_stream_is_unchanged(self, faults):
+        # A fault at position p goes before valid frame p (the finish frame
+        # is last); after p valid frames the session expects step max(p-1, 0).
+        frames: list[tuple[bool, dict | str]] = []
+        for p, valid in enumerate(FAULT_FRAMES):
+            frames += [(True, make(max(p - 1, 0))) for q, make in faults if q == p]
+            frames.append((False, valid))
+        responses = run_wire([frame for _, frame in frames])
+
+        assert len(responses) == len(frames)
+        good = []
+        for (bad, _), response in zip(frames, responses):
+            if bad:
+                assert response["kind"] == "error"
+            else:
+                good.append(response)
+        directives, events, summary = FAULT_REPLAY
+        assert {d.mode for d in directives} == set(Mode)
+        assert good[0] == {"kind": "ready"}
+        for response, directive, event in zip(good[1:-1], directives, events, strict=True):
+            assert response["event"] == event.to_dict()
+            assert response["intervened"] == directive.intervened
+            if directive.intervened:
+                assert response["logits"] == directive.logits.astype(np.float32).tolist()
+                assert response.get("temperature") == directive.temperature_override
+        assert good[-1] == {"kind": "summary", **asdict(summary)}
