@@ -6,6 +6,9 @@ distribution with entropy-aware guidance against a reference synthesized
 from low-entropy history (or supplied externally). Ships a synthetic
 logit-stream harness, a trace/replay layer, and a stdio wire protocol so
 any host runtime can drive it.
+
+The names exported here are the host contract; the math helpers stay
+importable from their modules (``spreg.distributions``, ``spreg.repair``, ...).
 """
 
 from .controller import (
@@ -16,27 +19,11 @@ from .controller import (
     Mode,
     StreamSummary,
 )
-from .detector import Decision, DecisionKind, DetectorConfig, Phase, SpikeDetector
-from .distributions import (
-    apply_temperature,
-    log_softmax,
-    normalized_entropy,
-    shannon_entropy,
-    softmax,
-)
-from .errors import ConfigError, NotReadyError, ProtocolError, SpregError, TraceFormatError
+from .detector import DetectorConfig, Phase
+from .errors import ConfigError, ProtocolError, SpregError, TraceFormatError
 from .harness import GroundTruth, Metrics, Scenario, evaluate, generate
-from .monitor import EntropyWindow, entropy_gradient
-from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
-from .repair import (
-    ReferencePool,
-    RepairParams,
-    adaptive_scale,
-    aggressive_recover,
-    guided_logits,
-    repetition_penalty,
-    token_weights,
-)
+from .plan_tracker import GuidanceTable, PatternSet, StepType
+from .repair import RepairParams
 from .trace_io import TraceRecord, export_csv, read_trace, replay_records, serve_stdio, write_trace
 
 __version__ = "0.1.0"

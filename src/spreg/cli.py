@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import load_config, load_config_dict
+from .config import config_from_dict, load_config, load_config_dict
 from .errors import ConfigError, ProtocolError, TraceFormatError
 from .harness import BUILTIN_SCENARIOS, Scenario, evaluate, generate
 from .trace_io import (
@@ -102,7 +102,10 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    return serve_stdio(load_config_dict(args.config))
+    config = load_config_dict(args.config)
+    # Reject a bad file at startup; each init frame supplies the real vocab size.
+    config_from_dict(config, vocab_size=2)
+    return serve_stdio(config)
 
 
 def _cmd_analyze(args) -> int:

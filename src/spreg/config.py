@@ -21,14 +21,13 @@ directory), or an inline pattern object.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
 from .controller import ControllerConfig
 from .detector import DetectorConfig
-from .errors import ConfigError
+from .errors import ConfigError, checked_float, checked_int
 from .plan_tracker import GuidanceTable, PatternSet, StepType
 from .repair import RepairParams
 
@@ -50,13 +49,10 @@ def _reject_unknown(body: dict, known, what: str) -> None:
 
 def _number(value, kind: type, what: str):
     """An int for an ``int`` field, a finite float for a ``float`` field."""
-    if not isinstance(value, bool):
-        if kind is int and isinstance(value, int):
-            return value
-        if kind is float and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
-            return float(value)
-    wanted = "an integer" if kind is int else "a finite number"
-    raise ConfigError(f"{what} must be {wanted}, got {value!r}")
+    try:
+        return (checked_int if kind is int else checked_float)(value, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _dataclass_section(cls, d: dict, name: str):

@@ -6,16 +6,17 @@ pool, and the recent-token span. Each call to process_step consumes one
 conditional logit vector and returns a Directive (what the host sampler
 should do) plus an EventRecord (what happened, for logs and analysis).
 
-Per-step order: the inputs are validated and the conditional logits
-normalized once, before any stream state changes, so a step that raises
-can be retried with the same t, and the repair math works on these
-log-probs without re-checking them; the gradient is taken against
-pre-step window statistics; the plan tracker ingests the text of the
-previously sampled token; the detector decides; repair math runs only on
-intervened steps; low-entropy steps feed the reference pool (suppressed
-while intervening so the prior is never contaminated by our own edits);
-finally the window absorbs the step's entropy. Unintervened steps pass
-the input logits through bit-identical.
+Per-step order: process_step is the one validator of a step. It checks
+the step order, the sampled-token report and both logit vectors, and takes
+the entropy and log-probs of the conditional, before any stream state
+changes. A step that raises has changed nothing, and the host retries the
+same t; nothing after the commit re-checks or raises. Then the gradient
+is taken against pre-step window statistics; the plan tracker ingests the
+text of the previously sampled token; the detector decides; repair math
+runs only on intervened steps; low-entropy steps feed the reference pool
+(suppressed while intervening so the prior is never contaminated by our
+own edits); finally the window absorbs the step's entropy. Unintervened
+steps pass the input logits through bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .distributions import (
     normalized_entropy,
     shannon_entropy,
 )
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, ProtocolError, checked_float, checked_int
 from .monitor import EntropyWindow, entropy_gradient
 from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
 from .repair import (
@@ -89,11 +90,7 @@ class Directive:
 
     logits: np.ndarray
     mode: Mode = Mode.NONE
-    temperature_override: float | None = None
-
-    def __post_init__(self):
-        if (self.temperature_override is not None) != (self.mode is Mode.AGGRESSIVE):
-            raise ValueError("temperature_override is set exactly for aggressive mode")
+    temperature_override: float | None = None  # set exactly in aggressive mode
 
     @property
     def intervened(self) -> bool:
@@ -127,20 +124,27 @@ class EventRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EventRecord":
+        """Parse an event-file row; each field must have its exact JSON type."""
+
+        def optional(check, key: str):
+            return None if d[key] is None else check(d[key], key)
+
+        if not isinstance(d["spike"], bool):
+            raise ValueError(f"spike must be a boolean, got {d['spike']!r}")
         return cls(
-            t=int(d["t"]),
-            entropy=float(d["entropy"]),
-            mu=None if d["mu"] is None else float(d["mu"]),
-            sigma=None if d["sigma"] is None else float(d["sigma"]),
-            gradient=None if d["gradient"] is None else float(d["gradient"]),
+            t=checked_int(d["t"], "t"),
+            entropy=checked_float(d["entropy"], "entropy"),
+            mu=optional(checked_float, "mu"),
+            sigma=optional(checked_float, "sigma"),
+            gradient=optional(checked_float, "gradient"),
             phase=Phase(d["phase"]),
             step_type=StepType(d["step_type"]),
-            spike=bool(d["spike"]),
-            lambda_applied=None if d["lambda_applied"] is None else float(d["lambda_applied"]),
-            repair_index=None if d["repair_index"] is None else int(d["repair_index"]),
+            spike=d["spike"],
+            lambda_applied=optional(checked_float, "lambda_applied"),
+            repair_index=optional(checked_int, "repair_index"),
             reference_source=ReferenceSource(d["reference_source"]),
             mode=Mode(d["mode"]),
-            modified_entropy=None if d["modified_entropy"] is None else float(d["modified_entropy"]),
+            modified_entropy=optional(checked_float, "modified_entropy"),
         )
 
 
@@ -157,7 +161,7 @@ def _checked_token(token_id, token_text) -> int | None:
     """Validate a sampled-token report before it changes any state."""
     if token_text is not None and not isinstance(token_text, str):
         raise ValueError(f"token_text must be a string, got {type(token_text).__name__}")
-    return None if token_id is None else int(token_id)
+    return None if token_id is None else checked_int(token_id, "token_id")
 
 
 class Controller:
@@ -191,9 +195,9 @@ class Controller:
         At most one notification per step; the same information may instead
         arrive inline with the next process_step call.
         """
+        token_id = _checked_token(token_id, token_text)
         if not self._awaiting_sample:
             raise ProtocolError("notify_sampled called twice for one step (or before any step)")
-        token_id = _checked_token(token_id, token_text)
         self._awaiting_sample = False
         self._ingest_token(token_id, token_text)
 
@@ -223,6 +227,7 @@ class Controller:
         ``ref_logits``, when given, is an externally computed reference
         distribution that takes precedence over the pool synthesis.
         """
+        t = checked_int(t, "t")
         if t != self._next_t:
             raise ProtocolError(f"expected step {self._next_t}, got {t}")
         inline_token = token_id is not None or bool(token_text)
@@ -230,12 +235,10 @@ class Controller:
             raise ProtocolError(f"step {t}: sampled token was already notified")
         token_id = _checked_token(token_id, token_text)
         vocab = self.config.vocab_size
-        cond = np.asarray(cond_logits, dtype=np.float64)
-        if cond.ndim != 1 or cond.size != vocab:
-            raise ValueError(f"expected {vocab} logits, got shape {cond.shape}")
-        entropy, cond_logprobs = entropy_and_logprobs(cond)
+        cond = as_logits(cond_logits, vocab)
         if ref_logits is not None:
             ref_logits = as_logits(ref_logits, vocab)
+        entropy, cond_logprobs = entropy_and_logprobs(cond)
 
         # Every input is valid; stream state changes only from here on.
         if inline_token:
@@ -243,10 +246,7 @@ class Controller:
             self._ingest_token(token_id, token_text or "")
         self._next_t += 1
 
-        if len(self._window) > 0:
-            mu, sigma = self._window.stats()
-        else:
-            mu = sigma = None
+        mu, sigma = self._window.stats()
         gradient = self._gradient(entropy)
         step_type = self._tracker.classify()
 
@@ -258,7 +258,7 @@ class Controller:
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
-            self._pool.record(cond_logprobs, entropy, mu)
+            self._pool.record(cond_logprobs)
         self._window.push(entropy)
 
         self._modes[event.mode] += 1
@@ -271,7 +271,7 @@ class Controller:
         prior = self._window.tail(n - 1)
         if len(prior) < n - 1:
             return None
-        return entropy_gradient([*prior, entropy], n=n)
+        return entropy_gradient([*prior, entropy])
 
     def _reference(self, ref_logits: np.ndarray | None) -> tuple[np.ndarray, ReferenceSource]:
         if ref_logits is not None:

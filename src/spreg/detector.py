@@ -16,10 +16,10 @@ same cooldown.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .distributions import EPSILON
 from .errors import ConfigError
 
 __all__ = [
@@ -45,7 +45,6 @@ class DetectorConfig:
     t_cool: int = 30
     n_grad: int = 5
     c_high: int = 50
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         checks = [
@@ -58,7 +57,6 @@ class DetectorConfig:
             (self.t_cool >= 0, "t_cool must be >= 0"),
             (self.n_grad >= 2, "n_grad must be >= 2"),
             (self.c_high >= 1, "c_high must be >= 1"),
-            (self.epsilon >= 0, "epsilon must be >= 0"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -96,24 +94,21 @@ def prefilter(gradient: float, entropy: float, cfg: DetectorConfig) -> bool:
     level (entropy >= h_extreme); anything else is treated as a natural
     semantic transition.
     """
-    if not math.isfinite(gradient):
-        raise ValueError(f"gradient must be finite, got {gradient}")
     return gradient >= cfg.g_min or entropy >= cfg.h_extreme
 
 
 def is_spike(entropy: float, mu: float, sigma: float, cfg: DetectorConfig) -> bool:
     """Dual-threshold test: above mu + alpha*sigma and above the floor."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
     return entropy > mu + cfg.alpha * sigma and entropy >= cfg.h_min
+
 
 def severity_duration(entropy: float, mu: float, sigma: float, cfg: DetectorConfig) -> int:
     """Repair length in steps, from the spike's excess in sigma units.
 
-    s = (H - (mu + alpha*sigma)) / (sigma + epsilon); 1 step for s < 1,
+    s = (H - (mu + alpha*sigma)) / (sigma + EPSILON); 1 step for s < 1,
     2 for s < 2, 3 otherwise.
     """
-    excess = (entropy - (mu + cfg.alpha * sigma)) / (sigma + cfg.epsilon)
+    excess = (entropy - (mu + cfg.alpha * sigma)) / (sigma + EPSILON)
     if excess < 1.0:
         return 1
     if excess < 2.0:
@@ -186,12 +181,7 @@ class SpikeDetector:
             return Phase.MONITORING, Decision(DecisionKind.AGGRESSIVE_RECOVER)
 
         passes_prefilter = gradient is None or prefilter(gradient, entropy, cfg)
-        if (
-            passes_prefilter
-            and mu is not None
-            and sigma is not None
-            and is_spike(entropy, mu, sigma, cfg)
-        ):
+        if passes_prefilter and mu is not None and is_spike(entropy, mu, sigma, cfg):
             duration = severity_duration(entropy, mu, sigma, cfg)
             index = self._repair_count
             self._repair_count += 1

@@ -1,8 +1,8 @@
 """Numeric primitives over dense token distributions.
 
-All functions take a 1-D array of logits (unnormalized log scores over a
-vocabulary) and compute in float64, regardless of the input dtype. Entropy
-is reported in nats by default; pass ``base`` to rescale.
+``as_logits`` is the one validator: it widens a vector to 1-D float64 and
+rejects anything the other functions cannot take. They trust their input
+and compute in float64, regardless of the input dtype. Entropy is in nats.
 
 logsumexp is evaluated as log1p over the non-argmax exponentials, which
 keeps full relative precision even for sharply peaked distributions, and
@@ -19,21 +19,25 @@ import math
 import numpy as np
 
 __all__ = [
+    "EPSILON",
     "as_logits",
     "log_softmax",
-    "softmax",
     "shannon_entropy",
     "entropy_and_logprobs",
     "normalized_entropy",
-    "apply_temperature",
 ]
+
+# Added to every divisor that can be 0 (a flat window's sigma, a zero
+# window mean, a constant reference's spread) in the detector and repair rules.
+EPSILON = 1e-6
 
 
 def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     """Validate and widen a logit vector to a 1-D float64 array.
 
-    Raises ValueError for non-finite entries, wrong dimensionality,
-    fewer than two vocabulary entries, or a vocab_size mismatch.
+    Raises ValueError for wrong dimensionality, fewer than two vocabulary
+    entries, a vocab_size mismatch, non-finite entries, or a range
+    (max - min) too wide for float64, whose log-probs would overflow.
     """
     z = np.asarray(values, dtype=np.float64)
     if z.ndim != 1:
@@ -42,17 +46,19 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
         raise ValueError(f"vocabulary must have at least 2 entries, got {z.size}")
     if vocab_size is not None and z.size != vocab_size:
         raise ValueError(f"expected {vocab_size} logits, got {z.size}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits contain non-finite values")
+    # NaN, +-inf and an overflowing range all make this difference non-finite.
+    if not math.isfinite(float(z.max()) - float(z.min())):
+        raise ValueError("logits must be finite, with a range that fits in float64")
     return z
 
 
-def _peak_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _peak_parts(logits) -> tuple[np.ndarray, np.ndarray, float]:
     """Max-shifted logits, their exponentials (argmax zeroed), and the rest mass.
 
     The argmax exponential is exactly 1 and is removed so logsumexp can be
     taken as log1p(rest) at full relative precision.
     """
+    z = np.asarray(logits, dtype=np.float64)
     i = int(np.argmax(z))
     shifted = z - z[i]
     e = np.exp(shifted)
@@ -62,33 +68,24 @@ def _peak_parts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 def log_softmax(logits) -> np.ndarray:
     """Normalized log-probabilities: z[v] - logsumexp(z)."""
-    shifted, _, rest = _peak_parts(as_logits(logits))
+    shifted, _, rest = _peak_parts(logits)
     return shifted - math.log1p(rest)
 
 
-def softmax(logits) -> np.ndarray:
-    z = as_logits(logits)
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def shannon_entropy(logits, base: float | None = None) -> float:
-    """Entropy of softmax(logits), in nats unless ``base`` is given."""
-    h, _ = _entropy_parts(as_logits(logits))
-    if base is not None:
-        h /= math.log(base)
+def shannon_entropy(logits) -> float:
+    """Entropy of softmax(logits), in nats."""
+    h, _ = _entropy_parts(logits)
     return h
 
 
 def entropy_and_logprobs(logits) -> tuple[float, np.ndarray]:
     """Entropy plus the normalized log-probabilities, sharing one pass."""
-    z = as_logits(logits)
-    h, (shifted, lse) = _entropy_parts(z)
+    h, (shifted, lse) = _entropy_parts(logits)
     return h, shifted - lse
 
 
-def _entropy_parts(z: np.ndarray) -> tuple[float, tuple[np.ndarray, float]]:
-    shifted, e, rest = _peak_parts(z)
+def _entropy_parts(logits) -> tuple[float, tuple[np.ndarray, float]]:
+    shifted, e, rest = _peak_parts(logits)
     lse = math.log1p(rest)
     # H = lse - E[shifted]; the argmax term of the dot is zero by shift.
     h = lse - float(np.dot(e, shifted)) / (1.0 + rest)
@@ -101,15 +98,4 @@ def normalized_entropy(entropy: float, vocab_size: int) -> float:
     The ratio is clamped at 1: a uniform distribution's computed entropy
     can exceed log(vocab_size) by one ulp.
     """
-    if vocab_size < 2:
-        raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
-    if entropy < 0.0 or not math.isfinite(entropy):
-        raise ValueError(f"entropy must be finite and non-negative, got {entropy}")
     return min(entropy / math.log(vocab_size), 1.0)
-
-
-def apply_temperature(logits, temperature: float) -> np.ndarray:
-    """Scale logits by 1/T. T < 1 sharpens (lowers entropy), T > 1 flattens."""
-    if not (temperature > 0.0) or not math.isfinite(temperature):
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return as_logits(logits) / temperature

@@ -1,11 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and the scalar type rules shared by every input gate.
 
-Plain ValueError is used for bad numeric inputs to pure math functions;
-the classes below mark conditions that callers (and the CLI exit-code
-mapping) need to tell apart.
+Plain ValueError is used for bad numeric inputs; the classes below mark
+conditions that callers (and the CLI exit-code mapping) need to tell
+apart. ``checked_int`` and ``checked_float`` are the one definition of an
+integer and a real number for configs, scenarios, trace and wire frames,
+event files, and the step index and sampled token of a stream.
 """
 
 from __future__ import annotations
+
+import operator
+import sys
 
 
 class SpregError(Exception):
@@ -30,5 +35,22 @@ class TraceFormatError(SpregError):
         self.line = line
 
 
-class NotReadyError(SpregError):
-    """A statistic was requested before enough samples were seen."""
+def checked_int(value, what: str) -> int:
+    """``value`` as an int if it is an integer (not a bool, not 2.5 or "3")."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def checked_float(value, what: str) -> float:
+    """``value`` as a float if it is a finite int or float (not a bool)."""
+    if (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")

@@ -26,7 +26,7 @@ import numpy as np
 from .controller import EventRecord
 from .detector import DetectorConfig
 from .distributions import shannon_entropy
-from .errors import ConfigError
+from .errors import ConfigError, checked_float, checked_int
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
 
@@ -139,12 +139,12 @@ class Scenario:
         try:
             segments = tuple(_segment_from_dict(s) for s in d.get("segments", []))
             return cls(
-                vocab_size=int(d["vocab_size"]),
-                length=int(d["length"]),
-                seed=int(d.get("seed", 0)),
+                vocab_size=checked_int(d["vocab_size"], "vocab_size"),
+                length=checked_int(d["length"], "length"),
+                seed=checked_int(d.get("seed", 0), "seed"),
                 segments=segments,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
 
     @classmethod
@@ -175,32 +175,32 @@ def _segment_from_dict(d: dict):
     kind = d.get("kind")
     if kind == "stable":
         return StableRegime(
-            steps=int(d["steps"]),
-            target_entropy=float(d["target_entropy"]),
-            jitter=float(d.get("jitter", 0.0)),
-            anchors=tuple(int(a) for a in d.get("anchors", [])),
+            steps=checked_int(d["steps"], "steps"),
+            target_entropy=checked_float(d["target_entropy"], "target_entropy"),
+            jitter=checked_float(d.get("jitter", 0.0), "jitter"),
+            anchors=tuple(checked_int(a, "anchors") for a in d.get("anchors", [])),
         )
     if kind == "drift":
         start = d.get("start_entropy")
         return DriftRegime(
-            steps=int(d["steps"]),
-            slope=float(d["slope"]),
-            start_entropy=None if start is None else float(start),
-            anchors=tuple(int(a) for a in d.get("anchors", [])),
+            steps=checked_int(d["steps"], "steps"),
+            slope=checked_float(d["slope"], "slope"),
+            start_entropy=None if start is None else checked_float(start, "start_entropy"),
+            anchors=tuple(checked_int(a, "anchors") for a in d.get("anchors", [])),
         )
     if kind == "loop":
         return LoopRegime(
-            steps=int(d["steps"]),
-            period=int(d["period"]),
-            tokens=tuple(int(tok) for tok in d["tokens"]),
-            start_entropy=float(d["start_entropy"]),
-            slope=float(d.get("slope", 0.0)),
+            steps=checked_int(d["steps"], "steps"),
+            period=checked_int(d["period"], "period"),
+            tokens=tuple(checked_int(tok, "tokens") for tok in d["tokens"]),
+            start_entropy=checked_float(d["start_entropy"], "start_entropy"),
+            slope=checked_float(d.get("slope", 0.0), "slope"),
         )
     if kind == "spike":
         return SpikeInjection(
-            at_step=int(d["at_step"]),
-            magnitude=float(d["magnitude"]),
-            width=int(d.get("width", 1)),
+            at_step=checked_int(d["at_step"], "at_step"),
+            magnitude=checked_float(d["magnitude"], "magnitude"),
+            width=checked_int(d.get("width", 1), "width"),
         )
     raise ConfigError(f"unknown segment kind {kind!r}")
 

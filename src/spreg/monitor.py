@@ -7,15 +7,15 @@ the value of the current (not yet pushed) step. Statistics are always
 recomputed over the retained entries, so they match a batch oracle
 exactly and cannot drift.
 
-State is per-stream and not thread-safe; distinct windows are independent.
+Values are trusted: the controller pushes only the finite entropies of
+validated steps. State is per-stream and not thread-safe; distinct windows
+are independent.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-
-from .errors import NotReadyError
 
 __all__ = ["EntropyWindow", "entropy_gradient"]
 
@@ -24,24 +24,15 @@ class EntropyWindow:
     """Ring buffer of recent entropy values with running (mu, sigma)."""
 
     def __init__(self, capacity: int = 10, tail_size: int = 5):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if tail_size < 1:
-            raise ValueError(f"tail_size must be >= 1, got {tail_size}")
-        self.capacity = capacity
-        self.tail_size = tail_size
         self._entries: deque[float] = deque(maxlen=capacity)
         self._tail: deque[float] = deque(maxlen=tail_size)
-        self._mu = 0.0
-        self._sigma = 0.0
+        self._mu: float | None = None
+        self._sigma: float | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def push(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"entropy must be finite and non-negative, got {value}")
         self._entries.append(value)
         self._tail.append(value)
         # W is small: exact recomputation per push keeps stats drift-free.
@@ -51,14 +42,11 @@ class EntropyWindow:
         self._mu = mu
         self._sigma = math.sqrt(var)
 
-    def stats(self) -> tuple[float, float]:
+    def stats(self) -> tuple[float | None, float | None]:
         """Population mean and std over the current entries.
 
-        A single-entry window reports sigma = 0. Raises NotReadyError when
-        empty.
+        A single-entry window reports sigma = 0; an empty one (None, None).
         """
-        if not self._entries:
-            raise NotReadyError("entropy window is empty")
         return self._mu, self._sigma
 
     def tail(self, count: int | None = None) -> tuple[float, ...]:
@@ -70,22 +58,12 @@ class EntropyWindow:
         return tuple(self._tail)[-count:]
 
 
-def entropy_gradient(values, n: int | None = None) -> float:
-    """Least-squares slope of a series against step indices 0..len-1.
-
-    When ``n`` is given the series must contain exactly n values;
-    otherwise any length >= 2 is accepted. Raises NotReadyError when the
-    series is too short.
-    """
-    seq = [float(v) for v in values]
-    if n is not None and len(seq) != n:
-        raise NotReadyError(f"gradient needs exactly {n} values, got {len(seq)}")
-    if len(seq) < 2:
-        raise NotReadyError(f"gradient needs at least 2 values, got {len(seq)}")
+def entropy_gradient(values) -> float:
+    """Least-squares slope of a series (at least 2 values) against 0..len-1."""
+    seq = list(values)
     count = len(seq)
     x_bar = (count - 1) / 2.0
     y_bar = math.fsum(seq) / count
     num = math.fsum((i - x_bar) * (y - y_bar) for i, y in enumerate(seq))
     den = math.fsum((i - x_bar) ** 2 for i in range(count))
     return num / den
-

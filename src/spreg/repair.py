@@ -12,8 +12,8 @@ historical distributions, falling back to uniform.
 
 Precondition: the conditional and reference vectors passed in here are
 finite, normalized float64 log-probs (log_softmax output) of the stream's
-vocabulary size. The controller validates and normalizes each vector once
-per step, so this module checks only its scalar arguments and shapes.
+vocabulary size, and the scalars are those of a validated step and config.
+The controller validates each step once, so nothing here re-checks them.
 
 Aggressive recovery escalates: guidance at the capped scale, a repetition
 penalty over recently sampled token ids, and a sharp sampling-temperature
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import log_softmax
+from .distributions import EPSILON, log_softmax
 from .errors import ConfigError
 from .plan_tracker import GuidanceTable, StepType
 
@@ -48,7 +48,6 @@ class RepairParams:
     beta: float = 0.5
     eta: float = 0.1
     lambda_max: float = 3.0
-    epsilon: float = 1e-6
     rho: float = 1.3
     t_recover: float = 0.3
     recent_window: int = 64
@@ -59,7 +58,6 @@ class RepairParams:
             (self.beta >= 0, "beta must be >= 0"),
             (self.eta >= 0, "eta must be >= 0"),
             (self.lambda_max >= 1, "lambda_max must be >= 1"),
-            (self.epsilon >= 0, "epsilon must be >= 0"),
             (self.rho > 1, "rho must be > 1"),
             (0 < self.t_recover <= 1, "t_recover must be in (0, 1]"),
             (self.recent_window >= 1, "recent_window must be >= 1"),
@@ -73,27 +71,21 @@ class RepairParams:
 class ReferencePool:
     """Bounded store of low-entropy historical log-prob distributions.
 
-    Entries are admitted only when their entropy was below the running
-    window mean at recording time; the oldest entry is evicted at
+    The controller decides what is admitted (unintervened steps whose
+    entropy is below the window mean); the oldest entry is evicted at
     capacity. One pool belongs to one stream.
     """
 
     def __init__(self, vocab_size: int, capacity: int = 32):
         self.vocab_size = vocab_size
-        self.capacity = capacity
         self._entries: deque[np.ndarray] = deque(maxlen=capacity)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, logprobs, entropy: float, mu: float) -> bool:
-        """Store the distribution iff entropy < mu; returns whether it was."""
-        if not entropy < mu:
-            return False
-        entry = np.array(logprobs, dtype=np.float64)
-        if entry.shape != (self.vocab_size,):
-            raise ValueError(f"expected {self.vocab_size} log-probs, got shape {entry.shape}")
-        self._entries.append(entry)
+    def record(self, logprobs: np.ndarray) -> bool:
+        """Store the distribution as given (not copied); True, as every offer is stored."""
+        self._entries.append(logprobs)
         return True
 
     def synthesize(self) -> np.ndarray:
@@ -117,15 +109,11 @@ def adaptive_scale_raw(
 ) -> float:
     """Unclamped guidance scale.
 
-    base(step) * (1 + beta * (H - mu) / (mu + eps)) * gamma(step),
+    base(step) * (1 + beta * (H - mu) / (mu + EPSILON)) * gamma(step),
     divided by (1 + repair_index) so successive repairs decay.
     """
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
-    if repair_index < 0:
-        raise ValueError(f"repair_index must be >= 0, got {repair_index}")
     lambda_base, gamma = table.params(step)
-    excess = 1.0 + params.beta * (entropy - mu) / (mu + params.epsilon)
+    excess = 1.0 + params.beta * (entropy - mu) / (mu + EPSILON)
     return lambda_base * excess * gamma / (1 + repair_index)
 
 
@@ -150,41 +138,30 @@ def adaptive_scale(
 def token_weights(reference, normalized_entropy: float, params: RepairParams) -> np.ndarray:
     """Per-token guidance weights from the standardized reference vector.
 
-    w(v) = 1 + eta * H_norm * (ref(v) - mean) / (std + eps); the weights
-    average to exactly 1, and a constant reference yields all ones.
+    w(v) = 1 + eta * H_norm * (ref(v) - mean) / (std + EPSILON); the
+    weights average to exactly 1, and a constant reference yields all ones.
     """
-    if not 0.0 <= normalized_entropy <= 1.0:
-        raise ValueError(f"normalized entropy must be in [0, 1], got {normalized_entropy}")
     ref = np.asarray(reference, dtype=np.float64)
     dev = ref - ref.mean()
     # Second centering pass removes the float residue of the first, which
-    # the small (sigma + epsilon) divisor would otherwise amplify.
+    # the small (sigma + EPSILON) divisor would otherwise amplify.
     dev -= dev.mean()
     sigma_ref = float(np.sqrt(np.mean(dev**2)))
-    return 1.0 + params.eta * normalized_entropy * dev / (sigma_ref + params.epsilon)
+    return 1.0 + params.eta * normalized_entropy * dev / (sigma_ref + EPSILON)
 
 
-def guided_logits(cond_logprobs, ref_logprobs, scale: float, weights=None) -> np.ndarray:
+def guided_logits(
+    cond_logprobs: np.ndarray, ref_logprobs: np.ndarray, scale: float, weights=1.0
+) -> np.ndarray:
     """Weighted extrapolation between conditional and reference.
 
-    Both inputs must be finite, normalized log-probs (log_softmax output);
-    they are not re-checked or renormalized here. The result is a valid
-    (unnormalized) logit vector for the host sampler. scale=1 with unit
-    weights reproduces the conditional; scale=0 reproduces the reference.
+    Both inputs must be finite, normalized log-prob arrays (log_softmax
+    output) of one shape; they are not re-checked or renormalized here.
+    The result is a valid (unnormalized) logit vector for the host sampler.
+    scale=1 with unit weights reproduces the conditional; scale=0
+    reproduces the reference.
     """
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
-    lc = np.asarray(cond_logprobs, dtype=np.float64)
-    lr = np.asarray(ref_logprobs, dtype=np.float64)
-    if lc.shape != lr.shape:
-        raise ValueError(f"shape mismatch: cond {lc.shape} vs ref {lr.shape}")
-    if weights is None:
-        w = 1.0
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != lc.shape:
-            raise ValueError(f"shape mismatch: weights {w.shape} vs cond {lc.shape}")
-    return lr + scale * w * (lc - lr)
+    return ref_logprobs + scale * weights * (cond_logprobs - ref_logprobs)
 
 
 def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
@@ -194,8 +171,6 @@ def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
     multiplied; zeros and tokens outside the recent set are untouched, so
     signs are always preserved.
     """
-    if not rho > 1:
-        raise ValueError(f"rho must be > 1, got {rho}")
     z = np.array(logits, dtype=np.float64)
     ids = [i for i in set(recent_ids) if 0 <= i < z.size]
     if not ids:

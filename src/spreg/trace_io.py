@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .controller import Controller, ControllerConfig, Directive, EventRecord, StreamSummary
-from .errors import ConfigError, ProtocolError, TraceFormatError
+from .errors import ConfigError, ProtocolError, TraceFormatError, checked_int
 
 __all__ = [
     "TraceRecord",
@@ -68,8 +68,11 @@ class TraceRecord:
             if ref.shape != self.logits.shape:
                 raise ValueError("ref_logits shape differs from logits")
             object.__setattr__(self, "ref_logits", ref)
+        object.__setattr__(self, "t", checked_int(self.t, "t"))
         if self.t < 0:
             raise ValueError(f"t must be >= 0, got {self.t}")
+        if self.token_id is not None:
+            object.__setattr__(self, "token_id", checked_int(self.token_id, "token_id"))
         if self.token_text is not None and not isinstance(self.token_text, str):
             raise ValueError(f"token_text must be a string, got {type(self.token_text).__name__}")
 
@@ -87,10 +90,10 @@ class TraceRecord:
     def from_dict(cls, d: dict) -> "TraceRecord":
         try:
             return cls(
-                t=int(d["t"]),
+                t=d["t"],
                 logits=d["logits"],
                 ref_logits=d.get("ref_logits"),
-                token_id=None if d.get("token_id") is None else int(d["token_id"]),
+                token_id=d.get("token_id"),
                 token_text=d.get("token_text"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -273,9 +276,10 @@ class _Session:
         return _error("bad_frame", f"unknown request kind {kind!r}")
 
     def _init(self, msg: dict) -> dict:
-        vocab_size = msg.get("vocab_size")
-        if isinstance(vocab_size, bool) or not isinstance(vocab_size, int):
-            return _error("bad_frame", "init requires an integer vocab_size")
+        try:
+            vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
+        except ValueError as exc:
+            return _error("bad_frame", str(exc))
         payload = msg.get("config")
         if payload is None:
             payload = self.base_config
@@ -307,7 +311,7 @@ class _Session:
             self.controller.notify_sampled(msg.get("token_id"), msg.get("token_text"))
         except ProtocolError as exc:
             return _error("protocol", str(exc))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             return _error("bad_frame", str(exc))
         return {"kind": "ready"}
 

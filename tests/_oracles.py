@@ -120,7 +120,7 @@ def oracle_decisions(h_seq, cfg) -> list[dict]:
                 and h >= cfg.h_min
             )
             if surge and spiking:
-                excess = (h - (mu + cfg.alpha * sigma)) / (sigma + cfg.epsilon)
+                excess = (h - (mu + cfg.alpha * sigma)) / (sigma + 1e-6)
                 duration = 1 if excess < 1.0 else (2 if excess < 2.0 else 3)
                 step.update(
                     kind="trigger_repair", duration=duration, repair_index=repair_count

@@ -16,7 +16,7 @@ import pytest
 from spreg.config import config_to_dict
 from spreg.controller import ControllerConfig, Mode
 from spreg.detector import DecisionKind, DetectorConfig, is_spike
-from spreg.distributions import log_softmax, shannon_entropy, softmax
+from spreg.distributions import log_softmax, shannon_entropy
 from spreg.harness import Scenario, StableRegime, SpikeInjection, evaluate, generate
 from spreg.monitor import entropy_gradient
 from spreg.plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
@@ -127,12 +127,10 @@ def test_05_adaptive_scale_properties():
     ]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] == PARAMS.lambda_max
-    # Worked example: exact without the division guard, 1e-6 with it.
-    exact = adaptive_scale(3.0, 2.0, StepType.REASONING, 0, TABLE, RepairParams(epsilon=0.0))
-    assert exact == pytest.approx(1.875, abs=1e-12)
-    assert adaptive_scale(3.0, 2.0, StepType.REASONING, 0, TABLE, PARAMS) == pytest.approx(
-        1.875, abs=1e-6
-    )
+    # Worked example: 1.5 * (1 + 0.5 * (3 - 2) / (2 + 1e-6)), 1.875 up to the guard.
+    lam = adaptive_scale(3.0, 2.0, StepType.REASONING, 0, TABLE, PARAMS)
+    assert lam == pytest.approx(1.5 * (1.0 + 0.5 * 1.0 / (2.0 + 1e-6)), abs=1e-12)
+    assert lam == pytest.approx(1.875, abs=1e-6)
     report(5, "decay ratio exact, entropy-monotone to the cap, 1.875 worked example")
 
 
@@ -251,8 +249,8 @@ def test_10_loop50_aggressive_recovery():
     span = truth.loop_spans[0]
     assert span[0] <= event.t < span[1]
     looped = int(np.argmax(records[event.t].logits))
-    pre = softmax(np.asarray(records[event.t].logits, dtype=np.float64))[looped]
-    post = softmax(directive.logits)[looped]
+    pre = np.exp(log_softmax(records[event.t].logits))[looped]
+    post = np.exp(log_softmax(directive.logits))[looped]
     assert post < pre
     report(
         10,

@@ -6,11 +6,20 @@ import pytest
 
 from spreg.cli import main
 from spreg.config import config_from_dict, config_to_dict, load_config
-from spreg.controller import ControllerConfig
+from spreg.controller import ControllerConfig, EventRecord
 from spreg.detector import DetectorConfig
 from spreg.errors import ConfigError
 from spreg.plan_tracker import GuidanceTable, StepType
 from spreg.repair import RepairParams
+
+
+# A valid event-file row; the malformed rows each change one field.
+EVENT_ROW = {
+    "t": 3, "entropy": 1.25, "mu": 1.0, "sigma": 0.5, "gradient": 0.1,
+    "phase": "monitoring", "step_type": "reasoning", "spike": False,
+    "lambda_applied": None, "repair_index": None, "reference_source": "n/a",
+    "mode": "none", "modified_entropy": None,
+}
 
 
 def packaged_default_config() -> dict:
@@ -55,6 +64,9 @@ class TestConfigLoading:
                 config_from_dict({"vocab_size": 8, "repair": {key: value}})
         with pytest.raises(ConfigError, match="detector_preset"):
             config_from_dict({"vocab_size": 8, "detector_preset": "conservative"})
+        for section in ("detector", "repair"):
+            with pytest.raises(ConfigError, match="epsilon"):
+                config_from_dict({"vocab_size": 8, section: {"epsilon": 1e-6}})
 
     def test_vocab_required(self):
         with pytest.raises(ConfigError):
@@ -130,14 +142,35 @@ class TestCli:
         bad.write_text(json.dumps({"detector": {"window": 1.5}}))
         assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
         assert "detector.window" in capsys.readouterr().err
+        # serve checks its base config at startup, before reading any frame.
+        assert main(["serve", "--stdio", "--config", str(bad)]) == 2
+        assert "detector.window" in capsys.readouterr().err
 
     def test_malformed_trace_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
         trace.write_text('{"t": 0, "logits": [0.1, 0.2]}\n{"t": 5, "logits": [0.1, 0.2]}\n')
         assert main(["replay", "--trace", str(trace)]) == 3
 
-    @pytest.mark.parametrize("line", ["5", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            "[1, 2]",
+            *(
+                pytest.param(json.dumps({**EVENT_ROW, key: value}), id=f"{key}={value!r}")
+                for key, value in (
+                    ("spike", "false"),
+                    ("t", 2.5),
+                    ("entropy", "nan"),
+                    ("entropy", float("nan")),
+                    ("repair_index", True),
+                    ("mu", "1.0"),
+                )
+            ),
+        ],
+    )
     def test_malformed_events_exit_3(self, tmp_path, line):
+        assert EventRecord.from_dict(EVENT_ROW).to_dict() == EVENT_ROW
         events = tmp_path / "events.jsonl"
         events.write_text(line + "\n")
         assert main(["analyze", "--events", str(events), "--csv", str(tmp_path / "o.csv")]) == 3

@@ -1,7 +1,11 @@
 import json
+import pickle
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreg.controller import Controller, ControllerConfig, EventRecord, Mode
 from spreg.detector import DetectorConfig
@@ -89,6 +93,7 @@ class TestFailedStep:
             (3, None, np.full(VOCAB, np.nan), {}),
             (3, None, None, {"token_id": "abc"}),
             (3, None, None, {"token_text": 5}),
+            (20, np.array([1e308, -1e308] + [0.0] * (VOCAB - 2)), None, {}),
         ],
         ids=[
             "nan_logits",
@@ -96,6 +101,7 @@ class TestFailedStep:
             "bad_ref_on_passthrough",
             "bad_token_id",
             "bad_token_text",
+            "overflowing_logits",
         ],
     )
     def test_retry_after_failed_step_matches_clean_run(self, bad_t, cond, ref, token):
@@ -109,7 +115,8 @@ class TestFailedStep:
         got = []
         for t, z in enumerate(inputs):
             if t == bad_t:
-                with pytest.raises(ValueError):
+                # Hosts do not turn numpy warnings into errors.
+                with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
                     self.step(ctrl, t, z if cond is None else cond, ref, **token)
             got.append(self.step(ctrl, t, z))
         assert [e.to_json() for _, e in got] == [e.to_json() for _, e in expected]
@@ -292,7 +299,9 @@ class TestSampledTokens:
         with pytest.raises(ProtocolError):
             ctrl.notify_sampled(1, "x")
 
-    @pytest.mark.parametrize("token_id, token_text", [("abc", ""), (1, 5)])
+    @pytest.mark.parametrize(
+        "token_id, token_text", [("abc", ""), (1, 5), (2.5, ""), (True, ""), ("3", "")]
+    )
     def test_bad_notify_leaves_the_token_pending(self, token_id, token_text):
         ctrl = Controller(make_config())
         ctrl.process_step(0, np.zeros(VOCAB))
@@ -447,3 +456,145 @@ class TestPoolRecording:
             if event.mode is Mode.NONE and mu is not None and h < mu:
                 admitted += 1
         assert len(ctrl2._pool) == min(admitted, config.repair.pool_capacity)
+
+
+# -- failed steps are transactions -------------------------------------------------
+
+PROP_VOCAB = 8
+PROP_CONFIG = ControllerConfig(
+    vocab_size=PROP_VOCAB,
+    detector=DetectorConfig(h_min=1.0, h_extreme=1.9, t_warm=3, t_cool=4, c_high=6),
+)
+
+
+@dataclass(frozen=True)
+class StreamStep:
+    """One valid step; ``notify`` reports the t-1 token by notify_sampled, not inline."""
+
+    z: np.ndarray
+    ref: np.ndarray | None
+    token_id: int | None
+    token_text: str | None
+    notify: bool
+
+
+def random_stream(seed: int, length: int) -> list[StreamStep]:
+    """Sharp steps with periodic flat spikes and one flat run, so every mode occurs."""
+    rng = np.random.default_rng(seed)
+    period = int(rng.integers(8, 16))
+    flat_start = int(rng.integers(10, length))
+    steps = []
+    for t in range(length):
+        flat = t % period == period - 1 or flat_start <= t < flat_start + 10
+        z = rng.standard_normal(PROP_VOCAB) * (0.2 if flat else 4.0)
+        ref = rng.standard_normal(PROP_VOCAB) * 3.0 if rng.random() < 0.3 else None
+        if t == 0:
+            steps.append(StreamStep(z, ref, None, None, False))
+        else:
+            text = [" x", "Therefore,", "", " call"][int(rng.integers(4))]
+            token = int(rng.integers(PROP_VOCAB))
+            steps.append(StreamStep(z, ref, token, text, bool(rng.random() < 0.5)))
+    return steps
+
+
+def process(ctrl: Controller, t: int, step: StreamStep, **bad):
+    kwargs = {"t": t, "cond_logits": step.z, "ref_logits": step.ref}
+    if not step.notify:
+        kwargs.update(token_id=step.token_id, token_text=step.token_text)
+    return ctrl.process_step(**{**kwargs, **bad})
+
+
+def run_stream(steps: list[StreamStep], fault_t: int | None = None, fault=None):
+    """Run ``steps``; at ``fault_t`` make the faulty call first, then the valid one."""
+    ctrl = Controller(PROP_CONFIG)
+    out = []
+    for t, step in enumerate(steps):
+        if step.notify:
+            ctrl.notify_sampled(step.token_id, step.token_text)
+        if t == fault_t:
+            before = pickle.dumps(ctrl)
+            # Hosts do not turn numpy warnings into errors.
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises((ValueError, ProtocolError)):
+                    fault(ctrl, t, step)
+            assert pickle.dumps(ctrl) == before
+        out.append(process(ctrl, t, step))
+    return out, ctrl.finish()
+
+
+def _with(z: np.ndarray, index: int, value: float) -> np.ndarray:
+    z = z.copy()
+    z[index] = value
+    return z
+
+
+OVERFLOW = np.array([1e308, -1e308] + [0.0] * (PROP_VOCAB - 2))
+
+# Faults on the step's vectors or order; the token is delivered as the step says.
+VECTOR_FAULTS = {
+    "nan": lambda c, t, s: process(c, t, s, cond_logits=np.full(PROP_VOCAB, np.nan)),
+    "+inf": lambda c, t, s: process(c, t, s, cond_logits=_with(s.z, 1, np.inf)),
+    "-inf": lambda c, t, s: process(c, t, s, cond_logits=_with(s.z, 1, -np.inf)),
+    "wrong_length": lambda c, t, s: process(c, t, s, cond_logits=np.zeros(PROP_VOCAB + 1)),
+    "2d": lambda c, t, s: process(c, t, s, cond_logits=s.z[None, :]),
+    "bad_ref": lambda c, t, s: process(c, t, s, ref_logits=np.zeros(PROP_VOCAB - 1)),
+    "nan_ref": lambda c, t, s: process(c, t, s, ref_logits=np.full(PROP_VOCAB, np.nan)),
+    "overflow": lambda c, t, s: process(c, t, s, cond_logits=OVERFLOW),
+    "t+1": lambda c, t, s: process(c, t + 1, s),
+    "t-1": lambda c, t, s: process(c, t - 1, s),
+    "t=float": lambda c, t, s: process(c, float(t), s),
+}
+# Faults in the sampled-token report: the step's token is reported inline.
+TOKEN_FAULTS = {
+    **{
+        f"token_id={v!r}": lambda c, t, s, v=v: process(c, t, s, token_id=v)
+        for v in (2.5, True, "3", "abc")
+    },
+    **{
+        f"token_text={v!r}": lambda c, t, s, v=v: process(c, t, s, token_text=v)
+        for v in (5, b"x", [" x"])
+    },
+}
+
+
+def second_notify(ctrl, t, step):
+    ctrl.notify_sampled(step.token_id, step.token_text)
+
+
+class TestFailedStepProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(20, 60),
+        fault=st.sampled_from(sorted(VECTOR_FAULTS) + sorted(TOKEN_FAULTS) + ["second_notify"]),
+        data=st.data(),
+    )
+    def test_failed_call_changes_nothing_and_the_retry_matches_a_clean_run(
+        self, seed, length, fault, data
+    ):
+        steps = random_stream(seed, length)
+        if fault in VECTOR_FAULTS:
+            fault_t = data.draw(st.integers(0, length - 1), label="fault_t")
+            call = VECTOR_FAULTS[fault]
+        else:
+            # A token report needs a previous step; force how it is delivered.
+            fault_t = data.draw(st.integers(1, length - 1), label="fault_t")
+            call = TOKEN_FAULTS.get(fault, second_notify)
+            steps[fault_t] = replace(steps[fault_t], notify=fault == "second_notify")
+        expected, clean_summary = run_stream(steps)
+        got, summary = run_stream(steps, fault_t, call)
+        for (d, e), (d_clean, e_clean) in zip(got, expected, strict=True):
+            assert e.to_json() == e_clean.to_json()
+            assert d.mode is d_clean.mode
+            assert d.temperature_override == d_clean.temperature_override
+            assert np.array_equal(d.logits, d_clean.logits)
+        assert summary == clean_summary
+
+    def test_streams_cover_every_mode(self):
+        # The property reaches the post-commit repair code only if its
+        # streams have repair and aggressive steps.
+        modes = set()
+        for seed in range(5):
+            out, _ = run_stream(random_stream(seed, 60))
+            modes |= {d.mode for d, _ in out}
+        assert modes == set(Mode)

@@ -84,6 +84,31 @@ class TestScenarioValidation:
         assert sc.length == 5
         assert isinstance(sc.segments[2], SpikeInjection)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"vocab_size": 64.9},
+            {"vocab_size": "16"},
+            {"length": 5.0},
+            {"seed": True},
+            {"segments": [{"kind": "stable", "steps": 5, "target_entropy": "1.2"}]},
+            {"segments": [{"kind": "stable", "steps": 5.5, "target_entropy": 1.2}]},
+            {"segments": [{"kind": "stable", "steps": 5, "target_entropy": float("nan")}]},
+            {"segments": [{"kind": "stable", "steps": 5, "target_entropy": 1.2, "anchors": [1.5]}]},
+            {"segments": [5]},
+        ],
+    )
+    def test_from_dict_rejects_wrong_types(self, change):
+        payload = {
+            "vocab_size": 16,
+            "length": 5,
+            "seed": 3,
+            "segments": [{"kind": "stable", "steps": 5, "target_entropy": 1.2}],
+        }
+        assert Scenario.from_dict(payload).vocab_size == 16
+        with pytest.raises(ConfigError):
+            Scenario.from_dict({**payload, **change})
+
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             Scenario.from_dict(

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spreg.distributions import log_softmax, shannon_entropy, softmax
+from spreg.distributions import log_softmax, shannon_entropy
 from spreg.errors import ConfigError
 from spreg.plan_tracker import GuidanceTable, StepType
 from spreg.repair import (
@@ -49,24 +49,16 @@ class TestRepairParams:
 
 
 class TestReferencePool:
-    def test_records_only_below_mean(self):
-        pool = ReferencePool(4)
-        lp = log_softmax([1.0, 0.0, 0.0, 0.0])
-        assert pool.record(lp, entropy=1.5, mu=2.0) is True
-        assert pool.record(lp, entropy=2.5, mu=2.0) is False
-        assert pool.record(lp, entropy=2.0, mu=2.0) is False
-        assert len(pool) == 1
-
     def test_eviction_is_oldest_first(self):
         pool = ReferencePool(2, capacity=32)
         for i in range(33):
-            pool.record(log_softmax([float(i), 0.0]), entropy=1.0, mu=2.0)
+            assert pool.record(log_softmax([float(i), 0.0])) is True
         assert len(pool) == 32
         first = pool.synthesize()
         # Entry 0 is gone: all remaining entries came from i = 1..32.
         lone = ReferencePool(2, capacity=32)
         for i in range(1, 33):
-            lone.record(log_softmax([float(i), 0.0]), entropy=1.0, mu=2.0)
+            lone.record(log_softmax([float(i), 0.0]))
         assert first == pytest.approx(lone.synthesize(), abs=0)
 
     def test_empty_pool_is_uniform(self):
@@ -76,31 +68,27 @@ class TestReferencePool:
     def test_single_entry_round_trips(self):
         pool = ReferencePool(3)
         lp = log_softmax([2.0, 0.0, -1.0])
-        pool.record(lp, entropy=0.5, mu=1.0)
+        pool.record(lp)
         assert pool.synthesize() == pytest.approx(lp, abs=1e-12)
 
     def test_mirrored_pair_averages_to_uniform(self):
         pool = ReferencePool(2)
-        pool.record(log_softmax([2.0, 0.0]), entropy=0.3, mu=1.0)
-        pool.record(log_softmax([0.0, 2.0]), entropy=0.3, mu=1.0)
+        pool.record(log_softmax([2.0, 0.0]))
+        pool.record(log_softmax([0.0, 2.0]))
         assert pool.synthesize() == pytest.approx([-math.log(2)] * 2, abs=1e-12)
 
 
 class TestAdaptiveScale:
-    def test_worked_example_without_guard(self):
-        params = RepairParams(epsilon=0.0)
-        lam = adaptive_scale(3.0, 2.0, StepType.REASONING, 0, TABLE, params)
-        assert lam == pytest.approx(1.875, abs=1e-12)
-
     def test_worked_example_with_default_guard(self):
+        # base 1.5 * (1 + beta 0.5 * (H 3 - mu 2) / (mu 2 + 1e-6)), gamma 1.
         lam = adaptive_scale(3.0, 2.0, StepType.REASONING, 0, TABLE, PARAMS)
+        assert lam == pytest.approx(1.5 * (1.0 + 0.5 * 1.0 / (2.0 + 1e-6)), abs=1e-12)
         assert lam == pytest.approx(1.875, abs=1e-6)
 
     def test_zero_excess_returns_base(self):
-        params = RepairParams(epsilon=0.0)
-        lam = adaptive_scale(2.0, 2.0, StepType.REASONING, 0, TABLE, params)
+        lam = adaptive_scale(2.0, 2.0, StepType.REASONING, 0, TABLE, PARAMS)
         assert lam == pytest.approx(1.5, abs=1e-12)
-        lam = adaptive_scale(2.0, 2.0, StepType.ACTION, 0, TABLE, params)
+        lam = adaptive_scale(2.0, 2.0, StepType.ACTION, 0, TABLE, PARAMS)
         assert lam == pytest.approx(1.8, abs=1e-12)
 
     def test_cap_binds(self):
@@ -160,10 +148,6 @@ class TestTokenWeights:
         w = token_weights(ref, h_norm, PARAMS)
         assert float(np.mean(w)) == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_out_of_range_entropy(self):
-        with pytest.raises(ValueError):
-            token_weights([1.0, 2.0], 1.5, PARAMS)
-
 
 class TestGuidedLogits:
     def test_scale_one_reproduces_conditional(self):
@@ -183,15 +167,10 @@ class TestGuidedLogits:
         assert out == pytest.approx([0.439291, -3.560709], abs=1e-6)
         # The guided gap doubles from 2 to 4, so p = sigmoid(+-4).
         exact = 1.0 / (1.0 + math.exp(4.0))
-        assert softmax(out) == pytest.approx([1.0 - exact, exact], abs=1e-12)
-        assert softmax(out) == pytest.approx([0.98200, 0.01800], abs=2e-5)
-        assert softmax([2.0, 0.0]) == pytest.approx([0.880797, 0.119203], abs=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            guided_logits([1.0, 2.0], log_softmax([1.0, 2.0, 3.0]), 1.0)
-        with pytest.raises(ValueError):
-            guided_logits([1.0, 2.0], log_softmax([1.0, 2.0]), 1.0, weights=[1.0, 1.0, 1.0])
+        probs = np.exp(log_softmax(out))
+        assert probs == pytest.approx([1.0 - exact, exact], abs=1e-12)
+        assert probs == pytest.approx([0.98200, 0.01800], abs=2e-5)
+        assert np.exp(log_softmax([2.0, 0.0])) == pytest.approx([0.880797, 0.119203], abs=1e-6)
 
 
 class TestRepetitionPenalty:
@@ -217,10 +196,6 @@ class TestRepetitionPenalty:
     def test_out_of_range_ids_ignored(self):
         z = [1.0, -1.0]
         assert repetition_penalty(z, {5, -1}, rho=1.3) == pytest.approx(z)
-
-    def test_rejects_rho_at_or_below_one(self):
-        with pytest.raises(ValueError):
-            repetition_penalty([1.0, 2.0], {0}, rho=1.0)
 
     @given(logit_vectors, st.sets(st.integers(min_value=0, max_value=63), max_size=20))
     @settings(max_examples=200)
@@ -250,4 +225,4 @@ class TestAggressiveRecover:
         cond = np.array([1.5, 1.4, 0.0, 0.0, 0.0, 0.0])
         looped = int(np.argmax(cond))
         out, _ = aggressive_recover(cond, ref, {0, 1}, PARAMS)
-        assert softmax(out)[looped] < softmax(cond)[looped]
+        assert np.exp(log_softmax(out))[looped] < np.exp(log_softmax(cond))[looped]

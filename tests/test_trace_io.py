@@ -407,32 +407,58 @@ BAD_FRAMES = (
         for v in (5, 0, False, [], {})
     ]
 )
+# A non-integer ``t`` or ``token_id``; once the session is initialized,
+# each is answered with a ``bad_frame`` error.
+NON_INTEGER_FRAMES = (
+    [lambda t, f=f: _step_frame(f(t), [0.0] * 8) for f in (float, lambda t: t + 0.9)]
+    + [
+        lambda t, v=v: {
+            "kind": "step",
+            "record": {"t": t, "logits": [0.0] * 8, "token_id": v, "token_text": "x"},
+        }
+        for v in (2.7, True, "3")
+    ]
+    + [
+        lambda t, v=v: {"kind": "sampled", "token_id": v, "token_text": "x"}
+        for v in (2.7, True, "3")
+    ]
+)
 
 
 class TestWireFaultInjection:
     @settings(max_examples=40, deadline=None)
     @given(
         faults=st.lists(
-            st.tuples(st.integers(0, len(FAULT_FRAMES) - 1), st.sampled_from(BAD_FRAMES)),
+            st.tuples(
+                st.integers(0, len(FAULT_FRAMES) - 1),
+                st.sampled_from(BAD_FRAMES + NON_INTEGER_FRAMES),
+            ),
             max_size=10,
         )
     )
     def test_each_bad_frame_gets_one_error_and_the_stream_is_unchanged(self, faults):
         # A fault at position p goes before valid frame p (the finish frame
         # is last); after p valid frames the session expects step max(p-1, 0).
-        frames: list[tuple[bool, dict | str]] = []
+        # Each frame is (the code its error must carry, or "" for any
+        # error, or None for a valid frame; the frame).
+        frames: list[tuple[str | None, dict | str]] = []
         for p, valid in enumerate(FAULT_FRAMES):
-            frames += [(True, make(max(p - 1, 0))) for q, make in faults if q == p]
-            frames.append((False, valid))
+            for q, make in faults:
+                if q == p:
+                    code = "bad_frame" if p > 0 and make in NON_INTEGER_FRAMES else ""
+                    frames.append((code, make(max(p - 1, 0))))
+            frames.append((None, valid))
         responses = run_wire([frame for _, frame in frames])
 
         assert len(responses) == len(frames)
         good = []
-        for (bad, _), response in zip(frames, responses):
-            if bad:
-                assert response["kind"] == "error"
-            else:
+        for (code, _), response in zip(frames, responses):
+            if code is None:
                 good.append(response)
+            else:
+                assert response["kind"] == "error"
+                if code:
+                    assert response["code"] == code
         directives, events, summary = FAULT_REPLAY
         assert {d.mode for d in directives} == set(Mode)
         assert good[0] == {"kind": "ready"}
