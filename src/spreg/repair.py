@@ -93,10 +93,20 @@ class ReferencePool:
 
         Averages the log-probabilities (the normalized geometric mean of
         the distributions); an empty pool falls back to uniform.
+
+        The rows are added one by one in insertion order into a single
+        buffer: that is the same sequence of float additions as numpy's
+        axis-0 mean of the stacked entries, so the result is bit-identical
+        to it without materialising a capacity x |V| array.
         """
         if not self._entries:
             return np.full(self.vocab_size, -math.log(self.vocab_size))
-        return log_softmax(np.stack(self._entries).mean(axis=0))
+        rows = iter(self._entries)
+        total = next(rows).copy()
+        for row in rows:
+            total += row
+        total /= len(self._entries)
+        return log_softmax(total)
 
 
 def adaptive_scale_raw(

@@ -1,12 +1,18 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here is deliberately naive and recomputes from scratch each
-step; nothing is shared with the package's implementation paths.
+step; nothing is shared with the package's implementation paths, except
+that ``oracle_pool_reference`` normalizes with the package's
+``log_softmax`` so that the aggregation it checks can be compared exactly.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from spreg.distributions import log_softmax
 
 
 def naive_entropy(logits) -> float:
@@ -48,6 +54,20 @@ def naive_cfg(cond, uncond, gamma: float) -> np.ndarray:
 
     lc, lu = logprobs(cond), logprobs(uncond)
     return lu + gamma * (lc - lu)
+
+
+def oracle_pool_reference(entries, capacity: int) -> np.ndarray:
+    """Reference of a pool that recorded ``entries`` in order.
+
+    ``entries`` is an (n, |V|) array of log-prob rows, n >= 0. The last
+    ``capacity`` rows are stacked, averaged over axis 0 and normalized; an
+    empty pool is uniform.
+    """
+    stacked = np.asarray(entries, dtype=np.float64)[-capacity:]
+    if len(stacked) == 0:
+        vocab = stacked.shape[1]
+        return np.full(vocab, -math.log(vocab))
+    return log_softmax(stacked.mean(axis=0))
 
 
 def naive_window_stats(values) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from spreg.repair import (
     repetition_penalty,
     token_weights,
 )
+
+from _oracles import oracle_pool_reference
 
 PARAMS = RepairParams()
 TABLE = GuidanceTable()
@@ -76,6 +79,42 @@ class TestReferencePool:
         pool.record(log_softmax([2.0, 0.0]))
         pool.record(log_softmax([0.0, 2.0]))
         assert pool.synthesize() == pytest.approx([-math.log(2)] * 2, abs=1e-12)
+
+    @given(
+        vocab=st.integers(min_value=2, max_value=64),
+        capacity=st.sampled_from([1, 2, 3, 32, None]),
+        magnitude=st.floats(min_value=0.0, max_value=1e3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_matches_stacked_mean_oracle(self, vocab, capacity, magnitude, seed, data):
+        # None stands for a capacity larger than the whole stream.
+        n = data.draw(st.integers(min_value=0, max_value=3 * (capacity or 32) + 1))
+        capacity = capacity or n + 1
+        rng = np.random.default_rng(seed)
+        rows = [log_softmax(z) for z in rng.uniform(-magnitude, magnitude, (n, vocab))]
+        entries = np.array(rows).reshape(n, vocab)
+        pool = ReferencePool(vocab, capacity=capacity)
+        assert np.array_equal(pool.synthesize(), oracle_pool_reference(entries[:0], capacity))
+        for i, lp in enumerate(rows, start=1):
+            pool.record(lp)
+            assert np.array_equal(pool.synthesize(), oracle_pool_reference(entries[:i], capacity))
+
+    def test_synthesize_does_not_materialise_the_pool(self):
+        vocab, capacity = 4096, 32
+        rng = np.random.default_rng(0)
+        pool = ReferencePool(vocab, capacity=capacity)
+        for _ in range(capacity):
+            pool.record(log_softmax(rng.normal(size=vocab)))
+        tracemalloc.start()
+        try:
+            pool.synthesize()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A handful of |V| float64 temporaries, not a capacity x |V| stack.
+        assert peak < 8 * vocab * 8
 
 
 class TestAdaptiveScale:
