@@ -83,7 +83,7 @@ def _cmd_run(args) -> int:
         write_events(events, args.events)
     if args.csv:
         export_csv(events, args.csv)
-    print(json.dumps({"summary": asdict(summary), "metrics": metrics.to_dict()}, indent=2))
+    print(json.dumps({"summary": asdict(summary), "metrics": asdict(metrics)}, indent=2))
     return EXIT_OK
 
 

@@ -7,12 +7,13 @@ anything else raises ``ConfigError`` naming the bad key or value:
 
 - an unknown key is an error;
 - the config, each section and each guidance table must be an object;
-- an integer field takes only an int (not a bool, not 2.5);
+- an integer field takes only an int (not a bool, not 2.5) no larger than
+  ``sys.maxsize``, the largest bound a deque or list takes;
 - a real-valued field takes only a finite int or float;
 - inline patterns are checked as ``PatternSet`` checks a pattern file.
 
-The gate checks types and finiteness, not size: a window of 2**63 passes
-here. Every section may carry a ``doc`` object describing its fields;
+Apart from that bound the gate checks types and finiteness, not size.
+Every section may carry a ``doc`` object describing its fields;
 the gate ignores it. The ``patterns`` entry may be null (packaged
 defaults), a path to a pattern file (resolved against the config file's
 directory), or an inline pattern object.
@@ -20,18 +21,18 @@ directory), or an inline pattern object.
 
 from __future__ import annotations
 
-import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
 from .controller import ControllerConfig
 from .detector import DetectorConfig
-from .errors import ConfigError, checked_float, checked_int
+from .errors import ConfigError, checked_float, checked_int, read_json
 from .plan_tracker import GuidanceTable, PatternSet, StepType
 from .repair import RepairParams
 
-__all__ = ["config_from_dict", "load_config", "load_config_dict", "config_to_dict"]
+__all__ = ["config_from_dict", "load_config", "load_config_dict"]
 
 
 def _object(value, what: str) -> dict:
@@ -48,11 +49,14 @@ def _reject_unknown(body: dict, known, what: str) -> None:
 
 
 def _number(value, kind: type, what: str):
-    """An int for an ``int`` field, a finite float for a ``float`` field."""
+    """An int up to ``sys.maxsize`` for an ``int`` field, a finite float for a ``float`` field."""
     try:
-        return (checked_int if kind is int else checked_float)(value, what)
+        number = (checked_int if kind is int else checked_float)(value, what)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if kind is int and number > sys.maxsize:
+        raise ConfigError(f"{what} must be at most {sys.maxsize}, got {number}")
+    return number
 
 
 def _dataclass_section(cls, d: dict, name: str):
@@ -64,20 +68,15 @@ def _dataclass_section(cls, d: dict, name: str):
 
 def _guidance(d: dict) -> GuidanceTable:
     body = _object(d.get("guidance", {}), "config section 'guidance'")
-    defaults = GuidanceTable()
-    names = [f.name for f in fields(GuidanceTable)]
-    _reject_unknown(body, names, "guidance")
-    tables = {}
-    for name in names:
-        table = dict(getattr(defaults, name))
-        for key, value in _object(body.get(name, {}), f"guidance.{name}").items():
-            try:
-                step = StepType(key)
-            except ValueError:
-                raise ConfigError(f"unknown guidance.{name} step type {key!r}") from None
-            table[step] = _number(value, float, f"guidance.{name}.{key}")
-        tables[name] = table
-    return GuidanceTable(**tables)
+    _reject_unknown(body, ["lambda_base"], "guidance")
+    table = dict(GuidanceTable().lambda_base)
+    for key, value in _object(body.get("lambda_base", {}), "guidance.lambda_base").items():
+        try:
+            step = StepType(key)
+        except ValueError:
+            raise ConfigError(f"unknown guidance.lambda_base step type {key!r}") from None
+        table[step] = _number(value, float, f"guidance.lambda_base.{key}")
+    return GuidanceTable(lambda_base=table)
 
 
 def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig:
@@ -116,10 +115,7 @@ def load_config_dict(path: str | Path | None) -> dict:
     if path is None:
         return {}
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
+    payload = read_json(path, "config")
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     patterns = payload.get("patterns")
@@ -131,16 +127,3 @@ def load_config_dict(path: str | Path | None) -> dict:
 def load_config(path: str | Path | None, vocab_size: int | None = None) -> ControllerConfig:
     return config_from_dict(load_config_dict(path), vocab_size=vocab_size)
 
-
-def config_to_dict(config: ControllerConfig) -> dict:
-    det, rep = config.detector, config.repair
-    return {
-        "vocab_size": config.vocab_size,
-        "detector": {f: getattr(det, f) for f in det.__dataclass_fields__},
-        "repair": {f: getattr(rep, f) for f in rep.__dataclass_fields__},
-        "guidance": {
-            "lambda_base": {s.value: v for s, v in config.guidance.lambda_base.items()},
-            "gamma": {s.value: v for s, v in config.guidance.gamma.items()},
-        },
-        "patterns": None,
-    }

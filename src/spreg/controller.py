@@ -251,17 +251,30 @@ class Controller:
         step_type = self._tracker.classify()
 
         phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
-
-        directive, event = self._apply(
-            t, cond, cond_logprobs, ref_logits, entropy, mu, sigma, gradient, phase,
-            step_type, decision,
+        directive, lam, source, modified_entropy = self._repair(
+            cond, cond_logprobs, ref_logits, entropy, mu, step_type, decision
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
             self._pool.record(cond_logprobs)
         self._window.push(entropy)
 
-        self._modes[event.mode] += 1
+        event = EventRecord(
+            t=t,
+            entropy=entropy,
+            mu=mu,
+            sigma=sigma,
+            gradient=gradient,
+            phase=phase,
+            step_type=step_type,
+            spike=decision.kind is DecisionKind.TRIGGER_REPAIR,
+            lambda_applied=lam,
+            repair_index=decision.repair_index,
+            reference_source=source,
+            mode=directive.mode,
+            modified_entropy=modified_entropy,
+        )
+        self._modes[directive.mode] += 1
         self._entropy_sum += entropy
         self._awaiting_sample = True
         return directive, event
@@ -280,28 +293,28 @@ class Controller:
             return self._pool.synthesize(), ReferenceSource.POOL
         return self._pool.synthesize(), ReferenceSource.UNIFORM
 
-    def _apply(
+    def _repair(
         self,
-        t: int,
         cond: np.ndarray,
         cond_logprobs: np.ndarray,
         ref_logits: np.ndarray | None,
         entropy: float,
         mu: float | None,
-        sigma: float | None,
-        gradient: float | None,
-        phase: Phase,
         step_type: StepType,
         decision: Decision,
-    ) -> tuple[Directive, EventRecord]:
+    ) -> tuple[Directive, float | None, ReferenceSource, float | None]:
+        """The directive, guidance scale, reference source and modified entropy of a step."""
+        if decision.kind is DecisionKind.NO_ACTION:
+            return Directive(logits=cond), None, ReferenceSource.NA, None
         params = self.config.repair
-        spike = decision.kind is DecisionKind.TRIGGER_REPAIR
-        lam: float | None = None
-        source = ReferenceSource.NA
-        modified_entropy: float | None = None
-
-        if decision.kind in (DecisionKind.TRIGGER_REPAIR, DecisionKind.CONTINUE_REPAIR):
-            ref, source = self._reference(ref_logits)
+        ref, source = self._reference(ref_logits)
+        if decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
+            lam = params.lambda_max
+            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params)
+            directive = Directive(
+                logits=out, mode=Mode.AGGRESSIVE, temperature_override=temperature
+            )
+        else:
             lam = adaptive_scale(
                 entropy, mu, step_type, decision.repair_index, self.config.guidance, params
             )
@@ -309,35 +322,8 @@ class Controller:
                 ref, normalized_entropy(entropy, self.config.vocab_size), params
             )
             out = guided_logits(cond_logprobs, ref, lam, weights)
-            modified_entropy = shannon_entropy(out)
             directive = Directive(logits=out, mode=Mode.REPAIR)
-        elif decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
-            ref, source = self._reference(ref_logits)
-            lam = params.lambda_max
-            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params)
-            modified_entropy = shannon_entropy(out)
-            directive = Directive(
-                logits=out, mode=Mode.AGGRESSIVE, temperature_override=temperature
-            )
-        else:
-            directive = Directive(logits=cond)
-
-        event = EventRecord(
-            t=t,
-            entropy=entropy,
-            mu=mu,
-            sigma=sigma,
-            gradient=gradient,
-            phase=phase,
-            step_type=step_type,
-            spike=spike,
-            lambda_applied=lam,
-            repair_index=decision.repair_index,
-            reference_source=source,
-            mode=directive.mode,
-            modified_entropy=modified_entropy,
-        )
-        return directive, event
+        return directive, lam, source, shannon_entropy(out)
 
     def finish(self) -> StreamSummary:
         """Cumulative tallies; equal to a recount over the emitted events."""

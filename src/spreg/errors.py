@@ -5,10 +5,12 @@ conditions that callers (and the CLI exit-code mapping) need to tell
 apart. ``checked_int`` and ``checked_float`` are the one definition of an
 integer and a real number for configs, scenarios, trace and wire frames,
 event files, and the step index and sampled token of a stream.
+``read_json`` is the one reader of a config, scenario or pattern file.
 """
 
 from __future__ import annotations
 
+import json
 import operator
 import sys
 
@@ -54,3 +56,11 @@ def checked_float(value, what: str) -> float:
     ):
         return float(value)
     raise ValueError(f"{what} must be a finite number, got {value!r}")
+
+
+def read_json(source, what: str):
+    """Parse a UTF-8 JSON file, a Path or an importlib.resources path, or raise ConfigError."""
+    try:
+        return json.loads(source.read_text(encoding="utf-8"))
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ConfigError(f"cannot load {what} {source}: {exc}") from exc

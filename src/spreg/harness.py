@@ -15,7 +15,6 @@ step tolerance, reporting detection precision and recall.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -26,7 +25,7 @@ import numpy as np
 from .controller import EventRecord
 from .detector import DetectorConfig
 from .distributions import shannon_entropy
-from .errors import ConfigError, checked_float, checked_int
+from .errors import ConfigError, checked_float, checked_int, read_json
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
 
@@ -149,11 +148,7 @@ class Scenario:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Scenario":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load scenario {path}: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(Path(path), "scenario"))
 
     @classmethod
     def builtin(cls, name: str) -> "Scenario":
@@ -161,14 +156,8 @@ class Scenario:
             raise ConfigError(
                 f"unknown scenario {name!r} (built in: {', '.join(BUILTIN_SCENARIOS)})"
             )
-        text = (
-            resources.files("spreg")
-            .joinpath("data")
-            .joinpath("scenarios")
-            .joinpath(f"{name}.json")
-            .read_text("utf-8")
-        )
-        return cls.from_dict(json.loads(text))
+        source = resources.files("spreg") / "data" / "scenarios" / f"{name}.json"
+        return cls.from_dict(read_json(source, "scenario"))
 
 
 def _segment_from_dict(d: dict):
@@ -345,19 +334,14 @@ def generate(
 
 @dataclass(frozen=True)
 class Metrics:
+    """Detection scores against the injected spikes; mode counts are in ``StreamSummary``."""
+
     precision: float
     recall: float
     detections: int
     injections: int
     matched: int
-    spikes: int
-    repair_steps: int
-    aggressive_recoveries: int
-    mean_entropy: float
     max_entropy: float
-
-    def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 def evaluate(
@@ -386,16 +370,11 @@ def evaluate(
 
     precision = matched / len(detections) if detections else 1.0
     recall = matched / len(injections) if injections else 1.0
-    entropies = [e.entropy for e in events]
     return Metrics(
         precision=precision,
         recall=recall,
         detections=len(detections),
         injections=len(injections),
         matched=matched,
-        spikes=sum(1 for e in events if e.spike),
-        repair_steps=sum(1 for e in events if e.mode.value == "repair"),
-        aggressive_recoveries=sum(1 for e in events if e.mode.value == "aggressive"),
-        mean_entropy=float(np.mean(entropies)),
-        max_entropy=float(np.max(entropies)),
+        max_entropy=max(e.entropy for e in events),
     )

@@ -11,7 +11,6 @@ Patterns ship as a JSON data file so the cue vocabulary can be swapped
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 
 __all__ = ["StepType", "PatternSet", "PlanTracker", "GuidanceTable"]
 
@@ -82,18 +81,11 @@ class PatternSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PatternSet":
-        try:
-            spec = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load pattern file {path}: {exc}") from exc
-        return cls(spec)
+        return cls(read_json(Path(path), "pattern file"))
 
     @classmethod
     def default(cls) -> "PatternSet":
-        text = (
-            resources.files("spreg").joinpath("data").joinpath("patterns.json").read_text("utf-8")
-        )
-        return cls(json.loads(text))
+        return cls(read_json(resources.files("spreg") / "data" / "patterns.json", "pattern file"))
 
     def last_match(self, text: str) -> StepType | None:
         """Step type of the latest (right-most) match in ``text``, if any."""
@@ -144,7 +136,11 @@ class PlanTracker:
 
 @dataclass(frozen=True)
 class GuidanceTable:
-    """Per-step-type guidance factors: base scale and an extra multiplier."""
+    """Per-step-type base guidance scale lambda_base(tau).
+
+    The repair scale is lambda_base(tau) * (1 + beta * relative entropy
+    excess) / (1 + repair_index); see ``repair.adaptive_scale_raw``.
+    """
 
     lambda_base: Mapping[StepType, float] = field(
         default_factory=lambda: {
@@ -154,18 +150,11 @@ class GuidanceTable:
             StepType.CONCLUSION: 1.8,
         }
     )
-    gamma: Mapping[StepType, float] = field(
-        default_factory=lambda: {step: 1.0 for step in StepType}
-    )
 
     def __post_init__(self):
-        for table_name, table in (("lambda_base", self.lambda_base), ("gamma", self.gamma)):
-            for step in StepType:
-                value = table.get(step)
-                if value is None:
-                    raise ConfigError(f"{table_name} missing entry for {step.value}")
-                if not value > 0:
-                    raise ConfigError(f"{table_name}[{step.value}] must be > 0, got {value}")
-
-    def params(self, step: StepType) -> tuple[float, float]:
-        return self.lambda_base[step], self.gamma[step]
+        for step in StepType:
+            value = self.lambda_base.get(step)
+            if value is None:
+                raise ConfigError(f"lambda_base missing entry for {step.value}")
+            if not value > 0:
+                raise ConfigError(f"lambda_base[{step.value}] must be > 0, got {value}")

@@ -119,12 +119,11 @@ def adaptive_scale_raw(
 ) -> float:
     """Unclamped guidance scale.
 
-    base(step) * (1 + beta * (H - mu) / (mu + EPSILON)) * gamma(step),
-    divided by (1 + repair_index) so successive repairs decay.
+    lambda_base(step) * (1 + beta * (H - mu) / (mu + EPSILON)), divided by
+    (1 + repair_index) so successive repairs decay.
     """
-    lambda_base, gamma = table.params(step)
     excess = 1.0 + params.beta * (entropy - mu) / (mu + EPSILON)
-    return lambda_base * excess * gamma / (1 + repair_index)
+    return table.lambda_base[step] * excess / (1 + repair_index)
 
 
 def adaptive_scale(

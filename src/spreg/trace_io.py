@@ -40,7 +40,9 @@ __all__ = [
 
 
 def _as_f32(values, *, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32)
+    # A float beyond float32 range casts to inf, which the check below rejects.
+    with np.errstate(over="ignore"):
+        arr = np.asarray(values, dtype=np.float32)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be 1-D")
     if not np.all(np.isfinite(arr)):
@@ -96,7 +98,7 @@ class TraceRecord:
                 token_id=d.get("token_id"),
                 token_text=d.get("token_text"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"bad trace record: {exc}") from exc
 
 
@@ -112,15 +114,18 @@ def _opened(path_or_file, mode: str):
 
 def _jsonl(fh, parse):
     """Yield (line number, parse(object)) per non-blank line of ``fh``."""
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            item = parse(json.loads(line))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(str(exc), line=lineno) from exc
-        yield lineno, item
+    try:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                item = parse(json.loads(line))
+            except (KeyError, RecursionError, TypeError, ValueError) as exc:
+                raise TraceFormatError(str(exc), line=lineno) from exc
+            yield lineno, item
+    except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
+        raise TraceFormatError(f"file is not UTF-8: {exc}") from exc
 
 
 def write_trace(records: Iterable[TraceRecord], path_or_file) -> int:
@@ -343,7 +348,7 @@ def serve_stdio(
             msg = json.loads(line)
             if not isinstance(msg, dict):
                 raise ValueError("frame must be a JSON object")
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (RecursionError, ValueError) as exc:
             response = _error("bad_frame", str(exc))
         else:
             response = session.handle(msg)

@@ -9,11 +9,12 @@ import json
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from spreg.config import config_to_dict
+from spreg.config import load_config_dict
 from spreg.controller import ControllerConfig, Mode
 from spreg.detector import DecisionKind, DetectorConfig, is_spike
 from spreg.distributions import log_softmax, shannon_entropy
@@ -270,7 +271,7 @@ def test_11_wire_offline_equivalence(tmp_path):
             SpikeInjection(at_step=300, magnitude=3.0),
         ),
     )
-    config_payload = config_to_dict(ControllerConfig(vocab_size=32))
+    config_payload = load_config_dict(resources.files("spreg") / "data" / "config.default.json")
     records, _ = generate(scenario)
     trace_path = tmp_path / "stream.jsonl"
     write_trace(records, trace_path)

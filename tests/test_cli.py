@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from spreg.cli import main
-from spreg.config import config_from_dict, config_to_dict, load_config
+from spreg.config import config_from_dict, load_config, load_config_dict
 from spreg.controller import ControllerConfig, EventRecord
 from spreg.detector import DetectorConfig
 from spreg.errors import ConfigError
@@ -22,9 +22,12 @@ EVENT_ROW = {
 }
 
 
+def packaged_default_path():
+    return resources.files("spreg").joinpath("data").joinpath("config.default.json")
+
+
 def packaged_default_config() -> dict:
-    path = resources.files("spreg").joinpath("data").joinpath("config.default.json")
-    return json.loads(path.read_text())
+    return json.loads(packaged_default_path().read_text())
 
 
 class TestConfigLoading:
@@ -67,6 +70,8 @@ class TestConfigLoading:
         for section in ("detector", "repair"):
             with pytest.raises(ConfigError, match="epsilon"):
                 config_from_dict({"vocab_size": 8, section: {"epsilon": 1e-6}})
+        with pytest.raises(ConfigError, match="gamma"):
+            config_from_dict({"vocab_size": 8, "guidance": {"gamma": {"action": 1.0}}})
 
     def test_vocab_required(self):
         with pytest.raises(ConfigError):
@@ -102,12 +107,9 @@ class TestConfigLoading:
             assert set(section) == names, name
             assert set(doc) == names, name
             assert all(isinstance(line, str) and line for line in doc.values()), name
-
-    def test_round_trip_through_dict(self):
-        cfg = ControllerConfig(vocab_size=32)
-        again = config_from_dict(config_to_dict(cfg))
-        assert again.detector == cfg.detector
-        assert again.repair == cfg.repair
+        # The file's values are the dataclass defaults.
+        loaded = config_from_dict(load_config_dict(packaged_default_path()))
+        assert loaded == ControllerConfig(vocab_size=64)
 
 
 class TestCli:
@@ -139,6 +141,12 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        for content in (b"\xe9", b"[" * 100000):  # not UTF-8; nested past the recursion limit
+            bad.write_bytes(content)
+            assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        bad.write_text(json.dumps({"repair": {"pool_capacity": 2**63}}))
+        assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        assert "repair.pool_capacity" in capsys.readouterr().err
         bad.write_text(json.dumps({"detector": {"window": 1.5}}))
         assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
         assert "detector.window" in capsys.readouterr().err
@@ -150,12 +158,20 @@ class TestCli:
         trace = tmp_path / "t.jsonl"
         trace.write_text('{"t": 0, "logits": [0.1, 0.2]}\n{"t": 5, "logits": [0.1, 0.2]}\n')
         assert main(["replay", "--trace", str(trace)]) == 3
+        # Nested past the recursion limit; an integer logit beyond float range.
+        for line in ("[" * 100000, '{"t": 0, "logits": [1%s, 0.2]}' % ("0" * 400)):
+            trace.write_text(line + "\n")
+            assert main(["replay", "--trace", str(trace)]) == 3
+        trace.write_bytes(b'{"t": 0, "logits": [0.1, 0.2]}\n\xe9\n')  # not UTF-8
+        assert main(["replay", "--trace", str(trace)]) == 3
 
     @pytest.mark.parametrize(
         "line",
         [
             "5",
             "[1, 2]",
+            pytest.param("[" * 100000, id="nested-past-recursion-limit"),
+            pytest.param("\udce9", id="not-utf8"),  # written as the byte 0xE9
             *(
                 pytest.param(json.dumps({**EVENT_ROW, key: value}), id=f"{key}={value!r}")
                 for key, value in (
@@ -172,7 +188,7 @@ class TestCli:
     def test_malformed_events_exit_3(self, tmp_path, line):
         assert EventRecord.from_dict(EVENT_ROW).to_dict() == EVENT_ROW
         events = tmp_path / "events.jsonl"
-        events.write_text(line + "\n")
+        events.write_text(line + "\n", encoding="utf-8", errors="surrogateescape")
         assert main(["analyze", "--events", str(events), "--csv", str(tmp_path / "o.csv")]) == 3
 
     def test_empty_trace_exits_3(self, tmp_path):

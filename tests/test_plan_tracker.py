@@ -144,23 +144,22 @@ class TestPatternSet:
 class TestGuidanceTable:
     def test_defaults(self):
         table = GuidanceTable()
-        assert table.params(StepType.REASONING) == (1.5, 1.0)
-        assert table.params(StepType.ACTION) == (1.8, 1.0)
-        assert table.params(StepType.OBSERVATION) == (1.5, 1.0)
-        assert table.params(StepType.CONCLUSION) == (1.8, 1.0)
+        assert table.lambda_base[StepType.REASONING] == 1.5
+        assert table.lambda_base[StepType.ACTION] == 1.8
+        assert table.lambda_base[StepType.OBSERVATION] == 1.5
+        assert table.lambda_base[StepType.CONCLUSION] == 1.8
 
     def test_custom_lookup(self):
         table = GuidanceTable(
             lambda_base={**GuidanceTable().lambda_base, StepType.CONCLUSION: 2.0},
-            gamma={**GuidanceTable().gamma, StepType.CONCLUSION: 0.9},
         )
-        assert table.params(StepType.CONCLUSION) == (2.0, 0.9)
+        assert table.lambda_base[StepType.CONCLUSION] == 2.0
 
     def test_rejects_non_positive_entries(self):
         with pytest.raises(ConfigError):
             GuidanceTable(lambda_base={**GuidanceTable().lambda_base, StepType.ACTION: 0.0})
         with pytest.raises(ConfigError):
-            GuidanceTable(gamma={**GuidanceTable().gamma, StepType.ACTION: -1.0})
+            GuidanceTable(lambda_base={**GuidanceTable().lambda_base, StepType.ACTION: -1.0})
 
     def test_rejects_missing_entries(self):
         with pytest.raises(ConfigError):

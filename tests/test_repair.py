@@ -119,7 +119,7 @@ class TestReferencePool:
 
 class TestAdaptiveScale:
     def test_worked_example_with_default_guard(self):
-        # base 1.5 * (1 + beta 0.5 * (H 3 - mu 2) / (mu 2 + 1e-6)), gamma 1.
+        # base 1.5 * (1 + beta 0.5 * (H 3 - mu 2) / (mu 2 + 1e-6)).
         lam = adaptive_scale(3.0, 2.0, StepType.REASONING, 0, TABLE, PARAMS)
         assert lam == pytest.approx(1.5 * (1.0 + 0.5 * 1.0 / (2.0 + 1e-6)), abs=1e-12)
         assert lam == pytest.approx(1.875, abs=1e-6)

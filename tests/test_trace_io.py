@@ -202,9 +202,12 @@ BAD_CONFIGS = [
     {"detector": {"t_cool": True}},
     {"repair": {"pool_capacity": 2.5}},
     {"repair": {"recent_window": 2.5}},
+    {"detector": {"window": 2**63}},
+    {"detector": {"n_grad": 2**63}},
+    {"repair": {"pool_capacity": 2**63}},
     {"repair": {"lambda_max": float("inf")}},
     {"guidance": {"lambda_base": 5}},
-    {"guidance": {"gamma": {"action": float("inf")}}},
+    {"guidance": {"lambda_base": {"action": float("inf")}}},
     _pattern_config(5),
     _pattern_config({"keywords": 5}),
     _pattern_config({"keywords": [5]}),
@@ -401,6 +404,9 @@ BAD_FRAMES = (
         lambda t: _step_frame(t - 1, [0.0] * 8),
         lambda t: _step_frame(t + 1, [0.0] * 8),
         lambda t: json.dumps(_step_frame(t, [0.0] * 8))[:30],
+        lambda t: "[" * 100000,
+        lambda t: _step_frame(t, [10**400] + [0.0] * 7),  # an int beyond float range
+        lambda t: _step_frame(t, [1e39] + [0.0] * 7),  # beyond float32 range
     ]
     + [
         lambda t, v=v: {"kind": "sampled", "token_id": 1, "token_text": v}
