@@ -56,7 +56,8 @@ def _peak_parts(logits) -> tuple[np.ndarray, np.ndarray, float]:
     """Max-shifted logits, their exponentials (argmax zeroed), and the rest mass.
 
     The argmax exponential is exactly 1 and is removed so logsumexp can be
-    taken as log1p(rest) at full relative precision.
+    taken as log1p(rest) at full relative precision. Both arrays are fresh,
+    so callers may modify them in place.
     """
     z = np.asarray(logits, dtype=np.float64)
     i = int(np.argmax(z))
@@ -69,7 +70,8 @@ def _peak_parts(logits) -> tuple[np.ndarray, np.ndarray, float]:
 def log_softmax(logits) -> np.ndarray:
     """Normalized log-probabilities: z[v] - logsumexp(z)."""
     shifted, _, rest = _peak_parts(logits)
-    return shifted - math.log1p(rest)
+    shifted -= math.log1p(rest)
+    return shifted
 
 
 def shannon_entropy(logits) -> float:
@@ -81,7 +83,8 @@ def shannon_entropy(logits) -> float:
 def entropy_and_logprobs(logits) -> tuple[float, np.ndarray]:
     """Entropy plus the normalized log-probabilities, sharing one pass."""
     h, (shifted, lse) = _entropy_parts(logits)
-    return h, shifted - lse
+    shifted -= lse
+    return h, shifted
 
 
 def _entropy_parts(logits) -> tuple[float, tuple[np.ndarray, float]]:

@@ -1,9 +1,31 @@
-"""Structural step classification from incrementally decoded text.
+r"""Structural step classification from incrementally decoded text.
 
 A bounded tail of recent surface text is scanned for keyword and syntax
 cues; the most recent match decides the active step type, ties at the
 same position break by priority (conclusion > action > observation >
 reasoning), and when nothing matches the previous type sticks.
+
+The scan is incremental. ``classify`` rescans only the text ingested
+since its last call plus the ``_OVERLAP`` characters before it, and keeps
+the right-most match that earlier scans found before that point. A match
+depends on the text up to one character past its end (the ``(?!\w)``
+lookahead), so new text can only destroy or complete a match that reaches
+the old end of the text: after ``"Result => 1 tool"``, ingesting ``"s"``
+turns ``tool`` into ``tools`` and the type falls back to observation. Such
+a match starts inside the rescanned region if it is shorter than
+``_OVERLAP``, so the result equals a full scan of the tail, except in two
+cases:
+
+- A longer match. Keywords must be shorter than ``_OVERLAP``
+  (the pattern file is rejected otherwise); regex cues can be unbounded.
+  The default ``\bstep\s*\d+`` misses a ``step`` whose number arrives
+  after more than 28 whitespace characters that an earlier scan already
+  saw.
+- A match that trimming creates. Cutting ``"ondef "`` to ``"def "`` at the
+  front of the tail satisfies ``(?<!\w)def\s`` only because the ``n``
+  before it is gone. Each match is judged with the text that preceded it
+  when it was scanned, so the tracker sees this one only when a single
+  scan covers the whole tail.
 
 Patterns ship as a JSON data file so the cue vocabulary can be swapped
 (for other languages or formats) without touching code.
@@ -24,6 +46,9 @@ __all__ = ["StepType", "PatternSet", "PlanTracker", "GuidanceTable"]
 
 # Characters of recent stream text the tracker scans.
 _TAIL_LIMIT = 256
+# Characters before the new text that each scan covers again: above the
+# longest default match (13, "the answer is") plus one of lookahead.
+_OVERLAP = 32
 
 
 class StepType(str, Enum):
@@ -40,6 +65,8 @@ _PRIORITY = {
     StepType.OBSERVATION: 2,
     StepType.REASONING: 3,
 }
+# Sorts below every match the tracker keeps: (stream position, -rank, step).
+_NO_MATCH: tuple[int, int, StepType | None] = (-1, 0, None)
 
 
 def _compile_keyword(keyword: str) -> re.Pattern:
@@ -72,6 +99,10 @@ class PatternSet:
             if not keywords and not cues:
                 raise ConfigError(f"step type {step.value!r} needs at least one pattern")
             for kw in keywords:
+                if len(kw) >= _OVERLAP:
+                    raise ConfigError(
+                        f"keyword for {step.value!r} must be shorter than {_OVERLAP} characters: {kw!r}"
+                    )
                 self._patterns.append((step, _compile_keyword(kw)))
             for cue in cues:
                 try:
@@ -87,22 +118,6 @@ class PatternSet:
     def default(cls) -> "PatternSet":
         return cls(read_json(resources.files("spreg") / "data" / "patterns.json", "pattern file"))
 
-    def last_match(self, text: str) -> StepType | None:
-        """Step type of the latest (right-most) match in ``text``, if any."""
-        best: tuple[int, int] | None = None  # (-start, priority) minimized
-        best_step: StepType | None = None
-        for step, pattern in self._patterns:
-            start = -1
-            for m in pattern.finditer(text):
-                start = m.start()
-            if start < 0:
-                continue
-            key = (-start, _PRIORITY[step])
-            if best is None or key < best:
-                best = key
-                best_step = step
-        return best_step
-
 
 class PlanTracker:
     """Sticky classifier over a bounded tail of decoded stream text."""
@@ -111,7 +126,11 @@ class PlanTracker:
         self.patterns = patterns or PatternSet.default()
         self._tail = ""
         self._active = StepType.REASONING
-        self._dirty = False
+        self._offset = 0  # stream position of tail[0]
+        self._fresh = 0  # characters ingested since the last scan
+        # Right-most match among those before the point the next scan
+        # starts from.
+        self._kept = _NO_MATCH
 
     @property
     def tail(self) -> str:
@@ -121,16 +140,38 @@ class PlanTracker:
         """Append decoded token text; empty text (special tokens) is a no-op."""
         if not token_text:
             return
-        self._tail = (self._tail + token_text)[-_TAIL_LIMIT:]
-        self._dirty = True
+        tail = self._tail + token_text
+        cut = max(0, len(tail) - _TAIL_LIMIT)
+        self._tail = tail[cut:]
+        self._offset += cut
+        self._fresh += len(token_text)
 
     def classify(self) -> StepType:
-        """Active step type; re-scans the tail only when it changed."""
-        if self._dirty:
-            matched = self.patterns.last_match(self._tail)
-            if matched is not None:
-                self._active = matched
-            self._dirty = False
+        """Active step type; scans only the text that can hold a new match."""
+        if self._fresh:
+            tail, offset = self._tail, self._offset
+            start = max(0, len(tail) - self._fresh - _OVERLAP)
+            # No later text can change a match that starts before this.
+            settled = offset + len(tail) - _OVERLAP
+            kept = self._kept if self._kept[0] >= offset else _NO_MATCH
+            best = kept
+            for step, pattern in self.patterns._patterns:
+                # Most cues do not occur in the new text; search says so
+                # faster than an empty finditer.
+                first = pattern.search(tail, start)
+                if first is None:
+                    continue
+                rank = -_PRIORITY[step]
+                for m in pattern.finditer(tail, first.start()):
+                    found = (offset + m.start(), rank, step)
+                    if found > best:
+                        best = found
+                    if found[0] < settled and found > kept:
+                        kept = found
+            self._kept = kept
+            self._fresh = 0
+            if best[2] is not None:
+                self._active = best[2]
         return self._active
 
 

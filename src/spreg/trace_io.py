@@ -104,9 +104,18 @@ class TraceRecord:
 
 @contextmanager
 def _opened(path_or_file, mode: str):
-    """A path is opened (and closed) as UTF-8; an open file is used as given."""
+    """A path is opened (and closed) as UTF-8; an open file is used as given.
+
+    An input path that cannot be opened raises TraceFormatError.
+    """
     if isinstance(path_or_file, (str, Path)):
-        with open(path_or_file, mode, encoding="utf-8") as fh:
+        try:
+            fh = open(path_or_file, mode, encoding="utf-8")
+        except OSError as exc:
+            if mode != "r":
+                raise
+            raise TraceFormatError(f"cannot read {path_or_file}: {exc.strerror or exc}") from exc
+        with fh:
             yield fh
     else:
         yield path_or_file

@@ -70,6 +70,29 @@ def oracle_pool_reference(entries, capacity: int) -> np.ndarray:
     return log_softmax(stacked.mean(axis=0))
 
 
+# Position ties between step types break in this order, highest first.
+_STEP_ORDER = ("conclusion", "action", "observation", "reasoning")
+
+
+def oracle_last_match(patterns, text: str):
+    """Step type of the right-most cue match in ``text``, or None.
+
+    A full rescan: every compiled cue of ``patterns`` runs ``finditer``
+    over all of ``text``; ties at the same start go to the step type
+    earlier in ``_STEP_ORDER``.
+    """
+    best = None  # (start, -order)
+    best_step = None
+    for step, pattern in patterns._patterns:
+        starts = [m.start() for m in pattern.finditer(text)]
+        if not starts:
+            continue
+        key = (starts[-1], -_STEP_ORDER.index(step.value))
+        if best is None or key > best:
+            best, best_step = key, step
+    return best_step
+
+
 def naive_window_stats(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     return float(arr.mean()), float(arr.std())

@@ -196,6 +196,15 @@ class TestCli:
         trace.write_text("")
         assert main(["replay", "--trace", str(trace)]) == 3
 
+    @pytest.mark.parametrize(
+        "command", [["replay", "--trace"], ["analyze", "--csv", "o.csv", "--events"]]
+    )
+    def test_missing_input_file_exits_3(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(command + [missing]) == 3
+        err = capsys.readouterr().err
+        assert err == f"spreg: cannot read {missing}: No such file or directory\n"
+
     def test_analyze_round_trip(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         assert main(["run", "--scenario", "stable", "--events", str(events)]) == 0

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import oracle_last_match
 from spreg.errors import ConfigError
-from spreg.plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
+from spreg.plan_tracker import _OVERLAP, GuidanceTable, PatternSet, PlanTracker, StepType
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,102 @@ class TestIncrementalEquivalence:
         assert incremental.classify() is batch.classify()
 
 
+# Pieces of the default cues: keywords split across tokens, mixed case,
+# word-character neighbours and multi-token regex cues.
+FRAGMENTS = [
+    "There", "fore", "THERE", "FORE", "thus", "Thus ", "final", " answer", " is", "the",
+    "Let", " me", "fir", "st", "think", "ing", "Tool", "s", "ac", "tion", "func",
+    "def ", "import ", "{", "\"", "`", "``", "Res", "ult", "OUTPUT", "obs", "ervation",
+    "=>", "=", ">", "→", "Step", " 12", "3", "x", "_", "on", " ", "\n", ".",
+]
+
+
+def _outside_exact_scan(patterns, stream: str, tail: str) -> bool:
+    """Whether ``tail`` holds a match the incremental scan is documented to miss.
+
+    Those are a match that trimming created at the front of the tail, and a
+    match of ``_OVERLAP`` characters or more.
+    """
+    offset = len(stream) - len(tail)
+    for _, pattern in patterns._patterns:
+        if offset and pattern.match(tail) and not pattern.match(stream, offset):
+            return True
+        if any(m.end() - m.start() >= _OVERLAP for m in pattern.finditer(tail)):
+            return True
+    return False
+
+
+class TestIncrementalScan:
+    @given(st.lists(st.sampled_from(FRAGMENTS), max_size=150))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_a_full_rescan_token_by_token(self, tokens):
+        patterns = PatternSet.default()
+        tracker = PlanTracker(patterns)
+        expected = StepType.REASONING
+        stream = ""
+        for tok in tokens:
+            tracker.ingest(tok)
+            stream += tok
+            if _outside_exact_scan(patterns, stream, tracker.tail):
+                return  # from here on the two may differ by design
+            expected = oracle_last_match(patterns, tracker.tail) or expected
+            assert tracker.classify() is expected
+
+    @pytest.mark.parametrize("padding", ["", " " * 40])
+    def test_appended_word_character_destroys_a_match(self, patterns, padding):
+        tracker = PlanTracker(patterns)
+        for tok in ("Result => 1", padding, " tool"):
+            tracker.ingest(tok)
+            tracker.classify()
+        assert tracker.classify() is StepType.ACTION
+        tracker.ingest("s")
+        assert tracker.classify() is StepType.OBSERVATION
+
+    def test_keyword_split_across_tokens(self, patterns):
+        tracker = PlanTracker(patterns)
+        tracker.ingest("Result: 3. There")
+        assert tracker.classify() is StepType.OBSERVATION
+        tracker.ingest("fore")
+        assert tracker.classify() is StepType.CONCLUSION
+
+    def test_trimmed_match_no_longer_counts(self, patterns):
+        # "=>" leaves the tail in the step that turns "tool" into "tools",
+        # so nothing in the tail matches and the type sticks at action.
+        tracker = PlanTracker(patterns)
+        for tok in ["=>"] + ["abc "] * 62 + ["x", " tool"]:
+            tracker.ingest(tok)
+            tracker.classify()
+        assert len(tracker.tail) == 256 and tracker.classify() is StepType.ACTION
+        tracker.ingest("s")
+        assert tracker.classify() is StepType.ACTION
+
+    def test_match_created_by_trimming_is_not_seen(self, patterns):
+        # Once "Result: on" is trimmed, the tail starts with "def ", which a
+        # full rescan reads as an action cue; the stream held "ondef ".
+        tracker = PlanTracker(patterns)
+        tracker.ingest("Result: on")
+        tracker.ingest("def ")
+        assert tracker.classify() is StepType.OBSERVATION
+        for _ in range(63):
+            tracker.ingest("abc ")
+            assert tracker.classify() is StepType.OBSERVATION
+        assert tracker.tail.startswith("def abc")
+        assert oracle_last_match(patterns, tracker.tail) is StepType.ACTION
+
+    @pytest.mark.parametrize(
+        "spaces, expected", [(28, StepType.REASONING), (29, StepType.OBSERVATION)]
+    )
+    def test_unbounded_step_cue_is_seen_within_the_overlap(self, patterns, spaces, expected):
+        tracker = PlanTracker(patterns)
+        tracker.ingest("Result: Step")
+        for _ in range(spaces):
+            tracker.ingest(" ")
+            assert tracker.classify() is StepType.OBSERVATION
+        tracker.ingest("2")
+        assert tracker.classify() is expected
+        assert oracle_last_match(patterns, tracker.tail) is StepType.REASONING
+
+
 class TestPatternSet:
     def test_missing_step_type_rejected(self):
         with pytest.raises(ConfigError):
@@ -131,12 +228,19 @@ class TestPatternSet:
         with pytest.raises(ConfigError):
             PatternSet(spec)
 
+    def test_keyword_as_long_as_the_overlap_rejected(self):
+        spec = {s.value: {"keywords": ["x"], "regex_cues": []} for s in StepType}
+        spec["action"]["keywords"] = ["a" * (_OVERLAP - 1)]
+        PatternSet(spec)
+        spec["action"]["keywords"] = ["a" * _OVERLAP]
+        with pytest.raises(ConfigError, match="shorter than"):
+            PatternSet(spec)
+
     def test_load_from_file(self, tmp_path):
         spec = {s.value: {"keywords": [s.value], "regex_cues": []} for s in StepType}
         path = tmp_path / "patterns.json"
         path.write_text(json.dumps(spec))
-        ps = PatternSet.from_file(path)
-        assert ps.last_match("observation!") is StepType.OBSERVATION
+        assert classify_text(PatternSet.from_file(path), "observation!") is StepType.OBSERVATION
         with pytest.raises(ConfigError):
             PatternSet.from_file(tmp_path / "missing.json")
 
