@@ -5,7 +5,8 @@
   spreg serve   --stdio [--config F]
   spreg analyze --events <file> --csv <out>
 
-Exit codes: 0 success, 2 configuration error, 3 format or protocol error.
+Exit codes: 0 success, 2 configuration error or an output file that cannot
+be opened, 3 format or protocol error.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .harness import BUILTIN_SCENARIOS, Scenario, evaluate, generate
 from .trace_io import (
     export_csv,
     read_events,
-    read_trace,
     replay_records,
+    replay_trace,
     serve_stdio,
     write_events,
     write_trace,
@@ -46,20 +47,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", default=None, help="write a trajectory CSV here")
     run.add_argument("--events", default=None, help="write the event log (JSONL) here")
     run.add_argument("--trace", default=None, help="record the generated logit stream here")
+    run.set_defaults(handler=_cmd_run, outputs=("trace", "events", "csv"))
 
     replay = sub.add_parser("replay", help="drive the controller over a recorded trace")
     replay.add_argument("--trace", required=True)
     replay.add_argument("--config", default=None)
     replay.add_argument("--csv", default=None)
     replay.add_argument("--events", default=None)
+    replay.set_defaults(handler=_cmd_replay, outputs=("events", "csv"))
 
     serve = sub.add_parser("serve", help="speak the JSONL request/response protocol on stdio")
     serve.add_argument("--stdio", action="store_true", required=True)
     serve.add_argument("--config", default=None)
+    serve.set_defaults(handler=_cmd_serve, outputs=())
 
     analyze = sub.add_parser("analyze", help="convert an event log to a trajectory CSV")
     analyze.add_argument("--events", required=True)
     analyze.add_argument("--csv", required=True)
+    analyze.set_defaults(handler=_cmd_analyze, outputs=("csv",))
     return parser
 
 
@@ -88,11 +93,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    records = read_trace(args.trace)
-    if not records:
-        raise TraceFormatError("trace is empty")
-    config = load_config(args.config, records[0].logits.size)
-    _, events, summary = replay_records(config, records)
+    events, summary = replay_trace(args.trace, load_config_dict(args.config))
     if args.events:
         write_events(events, args.events)
     if args.csv:
@@ -117,14 +118,17 @@ def _cmd_analyze(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "replay": _cmd_replay,
-        "serve": _cmd_serve,
-        "analyze": _cmd_analyze,
-    }
+    # Each output is opened (without truncating it) before any input is read,
+    # so a bad path fails before any work is done and an output that is also
+    # an input is still read whole.
+    for path in filter(None, (getattr(args, name) for name in args.outputs)):
+        try:
+            open(path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            print(f"spreg: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"spreg: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

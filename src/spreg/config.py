@@ -28,7 +28,7 @@ from typing import get_type_hints
 
 from .controller import ControllerConfig
 from .detector import DetectorConfig
-from .errors import ConfigError, checked_float, checked_int, read_json
+from .errors import ConfigError, checked_float, checked_int, read_json, reject_unknown
 from .plan_tracker import GuidanceTable, PatternSet, StepType
 from .repair import RepairParams
 
@@ -40,12 +40,6 @@ def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be an object, got {type(value).__name__}")
     return {k: v for k, v in value.items() if k != "doc"}
-
-
-def _reject_unknown(body: dict, known, what: str) -> None:
-    unknown = set(body) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
 
 
 def _number(value, kind: type, what: str):
@@ -62,13 +56,13 @@ def _number(value, kind: type, what: str):
 def _dataclass_section(cls, d: dict, name: str):
     body = _object(d.get(name, {}), f"config section {name!r}")
     kinds = get_type_hints(cls)
-    _reject_unknown(body, kinds, name)
+    reject_unknown(body, kinds, name)
     return cls(**{k: _number(v, kinds[k], f"{name}.{k}") for k, v in body.items()})
 
 
 def _guidance(d: dict) -> GuidanceTable:
     body = _object(d.get("guidance", {}), "config section 'guidance'")
-    _reject_unknown(body, ["lambda_base"], "guidance")
+    reject_unknown(body, ["lambda_base"], "guidance")
     table = dict(GuidanceTable().lambda_base)
     for key, value in _object(body.get("lambda_base", {}), "guidance.lambda_base").items():
         try:
@@ -82,7 +76,7 @@ def _guidance(d: dict) -> GuidanceTable:
 def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig:
     """Build a ControllerConfig; ``vocab_size`` overrides the dict's own."""
     d = _object(d, "config")
-    _reject_unknown(d, [f.name for f in fields(ControllerConfig)], "config")
+    reject_unknown(d, [f.name for f in fields(ControllerConfig)], "config")
     if vocab_size is not None:
         d["vocab_size"] = vocab_size
     if "vocab_size" not in d:

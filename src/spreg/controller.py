@@ -230,10 +230,10 @@ class Controller:
         t = checked_int(t, "t")
         if t != self._next_t:
             raise ProtocolError(f"expected step {self._next_t}, got {t}")
+        token_id = _checked_token(token_id, token_text)
         inline_token = token_id is not None or bool(token_text)
         if inline_token and not self._awaiting_sample:
             raise ProtocolError(f"step {t}: sampled token was already notified")
-        token_id = _checked_token(token_id, token_text)
         vocab = self.config.vocab_size
         cond = as_logits(cond_logits, vocab)
         if ref_logits is not None:

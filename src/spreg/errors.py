@@ -5,7 +5,8 @@ conditions that callers (and the CLI exit-code mapping) need to tell
 apart. ``checked_int`` and ``checked_float`` are the one definition of an
 integer and a real number for configs, scenarios, trace and wire frames,
 event files, and the step index and sampled token of a stream.
-``read_json`` is the one reader of a config, scenario or pattern file.
+``read_json`` is the one reader of a config, scenario or pattern file;
+``reject_unknown`` rejects the keys a config or scenario does not define.
 """
 
 from __future__ import annotations
@@ -64,3 +65,10 @@ def read_json(source, what: str):
         return json.loads(source.read_text(encoding="utf-8"))
     except (OSError, RecursionError, ValueError) as exc:
         raise ConfigError(f"cannot load {what} {source}: {exc}") from exc
+
+
+def reject_unknown(body: dict, known, what: str) -> None:
+    """Raise ConfigError naming every key of ``body`` not in ``known``."""
+    unknown = set(body) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")

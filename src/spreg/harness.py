@@ -16,7 +16,7 @@ step tolerance, reporting detection precision and recall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +25,7 @@ import numpy as np
 from .controller import EventRecord
 from .detector import DetectorConfig
 from .distributions import shannon_entropy
-from .errors import ConfigError, checked_float, checked_int, read_json
+from .errors import ConfigError, checked_float, checked_int, read_json, reject_unknown
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
 
@@ -72,7 +72,6 @@ class LoopRegime:
     """Argmax cycles through ``tokens`` while entropy ramps gently upward."""
 
     steps: int
-    period: int
     tokens: tuple[int, ...]
     start_entropy: float
     slope: float = 0.0
@@ -116,8 +115,8 @@ class Scenario:
                 if not 0 <= token < self.vocab_size:
                     raise ConfigError(f"token {token} outside the vocabulary")
             if isinstance(seg, LoopRegime):
-                if seg.period != len(seg.tokens) or seg.period < 1:
-                    raise ConfigError("loop period must equal the number of cycled tokens")
+                if not seg.tokens:
+                    raise ConfigError("loop needs at least one token to cycle")
                 if seg.start_entropy <= 0:
                     raise ConfigError("loop start_entropy must be > 0")
             if isinstance(seg, StableRegime) and (seg.target_entropy <= 0 or seg.jitter < 0):
@@ -160,8 +159,20 @@ class Scenario:
         return cls.from_dict(read_json(source, "scenario"))
 
 
+_SEGMENT_KINDS = {
+    "stable": StableRegime,
+    "drift": DriftRegime,
+    "loop": LoopRegime,
+    "spike": SpikeInjection,
+}
+
+
 def _segment_from_dict(d: dict):
     kind = d.get("kind")
+    if kind not in _SEGMENT_KINDS:
+        raise ConfigError(f"unknown segment kind {kind!r}")
+    known = ["kind", *(f.name for f in fields(_SEGMENT_KINDS[kind]))]
+    reject_unknown(d, known, f"{kind} segment")
     if kind == "stable":
         return StableRegime(
             steps=checked_int(d["steps"], "steps"),
@@ -180,18 +191,15 @@ def _segment_from_dict(d: dict):
     if kind == "loop":
         return LoopRegime(
             steps=checked_int(d["steps"], "steps"),
-            period=checked_int(d["period"], "period"),
             tokens=tuple(checked_int(tok, "tokens") for tok in d["tokens"]),
             start_entropy=checked_float(d["start_entropy"], "start_entropy"),
             slope=checked_float(d.get("slope", 0.0), "slope"),
         )
-    if kind == "spike":
-        return SpikeInjection(
-            at_step=checked_int(d["at_step"], "at_step"),
-            magnitude=checked_float(d["magnitude"], "magnitude"),
-            width=checked_int(d.get("width", 1), "width"),
-        )
-    raise ConfigError(f"unknown segment kind {kind!r}")
+    return SpikeInjection(
+        at_step=checked_int(d["at_step"], "at_step"),
+        magnitude=checked_float(d["magnitude"], "magnitude"),
+        width=checked_int(d.get("width", 1), "width"),
+    )
 
 
 @dataclass(frozen=True)
@@ -302,7 +310,7 @@ def generate(
                 step_profile = profile
             else:
                 target = seg.start_entropy + seg.slope * i
-                top = seg.tokens[i % seg.period]
+                top = seg.tokens[i % len(seg.tokens)]
                 step_profile = bank.with_top(profile, seg.tokens, top)
 
             spike = spike_lookup.get(t)

@@ -7,6 +7,11 @@ values so a read/write round trip is bit-identical. Directives for
 unintervened steps omit the logits array entirely, so a passthrough step
 costs O(1) bandwidth and the host reuses its own buffer.
 
+Reading a trace line or a wire frame only parses it: ``Controller.process_step``
+validates every step, in-process, on the wire and from a file. ``replay_trace``
+feeds each record to the controller as it reads it, so its memory does not
+grow with the length of the trace.
+
 The stdio server answers every request with exactly one response and
 never desynchronizes: protocol violations produce an ``error`` response
 (with the session intact), malformed frames are skipped the same way.
@@ -18,6 +23,8 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -36,25 +43,16 @@ __all__ = [
     "export_csv",
     "serve_stdio",
     "replay_records",
+    "replay_trace",
 ]
-
-
-def _as_f32(values, *, what: str) -> np.ndarray:
-    # A float beyond float32 range casts to inf, which the check below rejects.
-    with np.errstate(over="ignore"):
-        arr = np.asarray(values, dtype=np.float32)
-    if arr.ndim != 1:
-        raise ValueError(f"{what} must be 1-D")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite values")
-    return arr
 
 
 @dataclass(frozen=True)
 class TraceRecord:
     """One decoding step on the wire: conditional logits plus optional extras.
 
-    ``token_id``/``token_text`` describe the token sampled at t-1.
+    ``token_id``/``token_text`` describe the token sampled at t-1. Only the
+    logit arrays are converted (to float32); ``process_step`` checks values.
     """
 
     t: int
@@ -64,19 +62,11 @@ class TraceRecord:
     token_text: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "logits", _as_f32(self.logits, what="logits"))
-        if self.ref_logits is not None:
-            ref = _as_f32(self.ref_logits, what="ref_logits")
-            if ref.shape != self.logits.shape:
-                raise ValueError("ref_logits shape differs from logits")
-            object.__setattr__(self, "ref_logits", ref)
-        object.__setattr__(self, "t", checked_int(self.t, "t"))
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-        if self.token_id is not None:
-            object.__setattr__(self, "token_id", checked_int(self.token_id, "token_id"))
-        if self.token_text is not None and not isinstance(self.token_text, str):
-            raise ValueError(f"token_text must be a string, got {type(self.token_text).__name__}")
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "logits", np.asarray(self.logits, dtype=np.float32))
+            if self.ref_logits is not None:
+                ref = np.asarray(self.ref_logits, dtype=np.float32)
+                object.__setattr__(self, "ref_logits", ref)
 
     def to_dict(self) -> dict:
         d: dict = {"t": self.t, "logits": self.logits.tolist()}
@@ -137,45 +127,31 @@ def _jsonl(fh, parse):
         raise TraceFormatError(f"file is not UTF-8: {exc}") from exc
 
 
+def _write_lines(lines: Iterable[str], path_or_file) -> int:
+    """Write each string as one line; returns the number written."""
+    n = 0
+    with _opened(path_or_file, "w") as fh:
+        for n, line in enumerate(lines, start=1):
+            fh.write(line)
+            fh.write("\n")
+    return n
+
+
 def write_trace(records: Iterable[TraceRecord], path_or_file) -> int:
     """Write records as JSONL; returns the number written."""
-    with _opened(path_or_file, "w") as fh:
-        n = 0
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-        return n
+    return _write_lines(
+        (json.dumps(rec.to_dict(), separators=(",", ":")) for rec in records), path_or_file
+    )
 
 
 def read_trace(path_or_file) -> list[TraceRecord]:
-    """Parse a JSONL trace, enforcing step order and a constant vocab size."""
+    """Parse a JSONL trace; the controller that replays it checks each step."""
     with _opened(path_or_file, "r") as fh:
-        records: list[TraceRecord] = []
-        vocab: int | None = None
-        for lineno, rec in _jsonl(fh, TraceRecord.from_dict):
-            if rec.t != len(records):
-                raise TraceFormatError(
-                    f"step index jumped to {rec.t}, expected {len(records)}", line=lineno
-                )
-            if vocab is None:
-                vocab = rec.logits.size
-            elif rec.logits.size != vocab:
-                raise TraceFormatError(
-                    f"vocab size changed mid-trace ({vocab} -> {rec.logits.size})", line=lineno
-                )
-            records.append(rec)
-        return records
+        return [rec for _, rec in _jsonl(fh, TraceRecord.from_dict)]
 
 
 def write_events(events: Iterable[EventRecord], path_or_file) -> int:
-    with _opened(path_or_file, "w") as fh:
-        n = 0
-        for event in events:
-            fh.write(event.to_json())
-            fh.write("\n")
-            n += 1
-        return n
+    return _write_lines((event.to_json() for event in events), path_or_file)
 
 
 def read_events(path_or_file) -> list[EventRecord]:
@@ -185,23 +161,26 @@ def read_events(path_or_file) -> list[EventRecord]:
 
 # -- CSV export ---------------------------------------------------------------
 
-_CSV_COLUMNS = (
-    "t",
-    "H",
-    "mu",
-    "sigma",
-    "gradient",
-    "phase",
-    "step_type",
-    "spike",
-    "lambda",
-    "mode",
-)
+# Each CSV column's header and the EventRecord field it shows.
+_CSV_COLUMNS = {
+    "t": "t",
+    "H": "entropy",
+    "mu": "mu",
+    "sigma": "sigma",
+    "gradient": "gradient",
+    "phase": "phase",
+    "step_type": "step_type",
+    "spike": "spike",
+    "lambda": "lambda_applied",
+    "mode": "mode",
+}
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -210,26 +189,12 @@ def _cell(value) -> str:
 
 
 def export_csv(events: Iterable[EventRecord], path_or_file) -> int:
-    """One row per step with the trajectory quantities, 6 significant digits."""
-    with _opened(path_or_file, "w") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        n = 0
-        for e in events:
-            row = (
-                e.t,
-                e.entropy,
-                e.mu,
-                e.sigma,
-                e.gradient,
-                e.phase.value,
-                e.step_type.value,
-                e.spike,
-                e.lambda_applied,
-                e.mode.value,
-            )
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-            n += 1
-        return n
+    """One row per step with the trajectory quantities, 6 significant digits.
+
+    Returns the number of rows, not counting the header.
+    """
+    rows = (",".join(_cell(getattr(e, name)) for name in _CSV_COLUMNS.values()) for e in events)
+    return _write_lines(chain([",".join(_CSV_COLUMNS)], rows), path_or_file) - 1
 
 
 def replay_records(
@@ -244,6 +209,27 @@ def replay_records(
         directives.append(directive)
         events.append(event)
     return directives, events, controller.finish()
+
+
+def replay_trace(path_or_file, config: dict) -> tuple[list[EventRecord], StreamSummary]:
+    """Replay a JSONL trace one record at a time, as it is read.
+
+    The controller is built from ``config`` and the first record's length.
+    A step it rejects raises TraceFormatError naming that step's line.
+    """
+    controller: Controller | None = None
+    events: list[EventRecord] = []
+    with _opened(path_or_file, "r") as fh:
+        for lineno, rec in _jsonl(fh, TraceRecord.from_dict):
+            if controller is None:
+                controller = Controller(config_from_dict(config, vocab_size=rec.logits.size))
+            try:
+                events.append(_feed(controller, rec)[1])
+            except (ProtocolError, ValueError) as exc:
+                raise TraceFormatError(str(exc), line=lineno) from exc
+    if controller is None:
+        raise TraceFormatError("trace is empty")
+    return events, controller.finish()
 
 
 def _feed(controller: Controller, rec: TraceRecord) -> tuple[Directive, EventRecord]:
@@ -278,62 +264,40 @@ class _Session:
         self.controller: Controller | None = None
 
     def handle(self, msg: dict) -> dict:
+        """Dispatch one request; every error a request can cause is answered here."""
         kind = msg.get("kind")
-        if kind == "init":
-            return self._init(msg)
-        if kind == "step":
-            return self._step(msg)
-        if kind == "sampled":
-            return self._sampled(msg)
-        if kind == "finish":
-            return self._finish()
-        return _error("bad_frame", f"unknown request kind {kind!r}")
-
-    def _init(self, msg: dict) -> dict:
+        if kind not in ("init", "step", "sampled", "finish"):
+            return _error("bad_frame", f"unknown request kind {kind!r}")
+        if kind != "init" and self.controller is None:
+            return _error("not_initialized", f"send init before {kind}")
         try:
-            vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
+            return getattr(self, "_" + kind)(msg)
+        except ConfigError as exc:
+            return _error("config", str(exc))
+        except ProtocolError as exc:
+            return _error("protocol", str(exc))
         except ValueError as exc:
             return _error("bad_frame", str(exc))
+
+    def _init(self, msg: dict) -> dict:
+        vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
         payload = msg.get("config")
         if payload is None:
             payload = self.base_config
-        try:
-            self.controller = Controller(config_from_dict(payload, vocab_size=vocab_size))
-        except ConfigError as exc:
-            return _error("config", str(exc))
+        self.controller = Controller(config_from_dict(payload, vocab_size=vocab_size))
         return {"kind": "ready"}
 
     def _step(self, msg: dict) -> dict:
-        if self.controller is None:
-            return _error("not_initialized", "send init before step")
-        try:
-            rec = TraceRecord.from_dict(msg.get("record") or {})
-        except ValueError as exc:
-            return _error("bad_frame", str(exc))
-        try:
-            directive, event = _feed(self.controller, rec)
-        except ProtocolError as exc:
-            return _error("protocol", str(exc))
-        except ValueError as exc:
-            return _error("bad_frame", str(exc))
+        rec = TraceRecord.from_dict(msg.get("record") or {})
+        directive, event = _feed(self.controller, rec)
         return _directive_payload(rec.t, directive, event)
 
     def _sampled(self, msg: dict) -> dict:
-        if self.controller is None:
-            return _error("not_initialized", "send init before sampled")
-        try:
-            self.controller.notify_sampled(msg.get("token_id"), msg.get("token_text"))
-        except ProtocolError as exc:
-            return _error("protocol", str(exc))
-        except ValueError as exc:
-            return _error("bad_frame", str(exc))
+        self.controller.notify_sampled(msg.get("token_id"), msg.get("token_text"))
         return {"kind": "ready"}
 
-    def _finish(self) -> dict:
-        if self.controller is None:
-            return _error("not_initialized", "send init before finish")
-        summary = self.controller.finish()
-        return {"kind": "summary", **asdict(summary)}
+    def _finish(self, msg: dict) -> dict:
+        return {"kind": "summary", **asdict(self.controller.finish())}
 
 
 def serve_stdio(

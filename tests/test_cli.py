@@ -199,11 +199,32 @@ class TestCli:
     @pytest.mark.parametrize(
         "command", [["replay", "--trace"], ["analyze", "--csv", "o.csv", "--events"]]
     )
-    def test_missing_input_file_exits_3(self, tmp_path, capsys, command):
+    def test_missing_input_file_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # analyze opens its relative o.csv first
         missing = str(tmp_path / "missing.jsonl")
         assert main(command + [missing]) == 3
         err = capsys.readouterr().err
         assert err == f"spreg: cannot read {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--scenario", "stable", "--csv"],
+            ["run", "--scenario", "stable", "--events"],
+            ["run", "--scenario", "stable", "--trace"],
+            ["replay", "--trace", "MISSING", "--events"],
+            ["replay", "--trace", "MISSING", "--csv"],
+            ["analyze", "--events", "MISSING", "--csv"],
+        ],
+    )
+    def test_unwritable_output_exits_2_before_any_input_is_read(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.jsonl")
+        unwritable = str(tmp_path / "no-such-dir" / "out")
+        command = [missing if arg == "MISSING" else arg for arg in command]
+        assert main(command + [unwritable]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"spreg: cannot write {unwritable}: No such file or directory\n"
 
     def test_analyze_round_trip(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"

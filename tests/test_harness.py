@@ -43,17 +43,6 @@ class TestScenarioValidation:
                 )
             )
 
-    def test_loop_tokens_must_match_period(self):
-        with pytest.raises(ConfigError):
-            Scenario(
-                vocab_size=8,
-                length=10,
-                seed=0,
-                segments=(
-                    LoopRegime(steps=10, period=3, tokens=(1, 2), start_entropy=0.9),
-                ),
-            )
-
     def test_tokens_must_be_in_vocab(self):
         with pytest.raises(ConfigError):
             Scenario(
@@ -61,7 +50,7 @@ class TestScenarioValidation:
                 length=10,
                 seed=0,
                 segments=(
-                    LoopRegime(steps=10, period=2, tokens=(1, 9), start_entropy=0.9),
+                    LoopRegime(steps=10, tokens=(1, 9), start_entropy=0.9),
                 ),
             )
 
@@ -108,6 +97,32 @@ class TestScenarioValidation:
         assert Scenario.from_dict(payload).vocab_size == 16
         with pytest.raises(ConfigError):
             Scenario.from_dict({**payload, **change})
+
+    @pytest.mark.parametrize(
+        "segment, key",
+        [
+            ({"kind": "loop", "tokens": [3, 4], "start_entropy": 0.9, "period": 2}, "period"),
+            ({"kind": "stable", "target_entropy": 1.2, "slope": 0.1}, "slope"),
+            ({"kind": "drift", "slope": 0.1, "start_entropy": 1.0, "jiter": 0.1}, "jiter"),
+        ],
+    )
+    def test_from_dict_rejects_unknown_segment_keys(self, segment, key):
+        def payload(seg: dict) -> dict:
+            return {"vocab_size": 16, "length": 5, "segments": [{"steps": 5, **seg}]}
+
+        with pytest.raises(ConfigError, match=f"unknown {segment['kind']} segment keys: {key}"):
+            Scenario.from_dict(payload(segment))
+        valid = {k: v for k, v in segment.items() if k != key}
+        assert Scenario.from_dict(payload(valid)).length == 5
+
+    def test_loop_needs_a_token(self):
+        with pytest.raises(ConfigError):
+            Scenario(
+                vocab_size=8,
+                length=10,
+                seed=0,
+                segments=(LoopRegime(steps=10, tokens=(), start_entropy=0.9),),
+            )
 
     def test_from_dict_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -176,7 +191,7 @@ class TestGenerator:
             length=20,
             seed=4,
             segments=(
-                LoopRegime(steps=20, period=2, tokens=(3, 4), start_entropy=0.9, slope=0.01),
+                LoopRegime(steps=20, tokens=(3, 4), start_entropy=0.9, slope=0.01),
             ),
         )
         records, truth = generate(sc)

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreg.cli import main
 from spreg.config import config_from_dict
 from spreg.controller import ControllerConfig, Mode
 from spreg.errors import TraceFormatError
@@ -17,6 +19,7 @@ from spreg.trace_io import (
     read_events,
     read_trace,
     replay_records,
+    replay_trace,
     serve_stdio,
     write_events,
     write_trace,
@@ -71,31 +74,88 @@ class TestTraceRoundTrip:
         assert err.value.line == 4
         assert "line 4" in str(err.value)
 
-    def test_step_jump_rejected(self, tmp_path):
-        records = random_records(8)
+    def test_read_trace_only_parses(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        lines = [json.dumps(r.to_dict()) for r in records if r.t != 6]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceFormatError) as err:
-            read_trace(path)
-        assert "expected 6" in str(err.value)
+        bad = {"t": -1, "logits": [float("nan"), 1.0], "ref_logits": [1.0], "token_text": 5}
+        path.write_text(json.dumps(bad) + "\n")
+        [rec] = read_trace(path)
+        assert rec.t == -1 and rec.token_text == 5 and rec.logits.dtype == np.float32
+        assert np.isnan(rec.logits[0]) and rec.ref_logits.shape == (1,)
 
-    def test_vocab_change_rejected(self, tmp_path):
+
+# Each turns line 5 (step 4) of a valid trace into a step the controller rejects.
+BAD_REPLAY_LINES = {
+    "step_jump": lambda d: {**d, "t": 5},
+    "vocab_change": lambda d: {**d, "logits": d["logits"][:-1]},
+    "negative_t": lambda d: {**d, "t": -1},
+    "inf_logit": lambda d: {**d, "logits": [float("inf")] + d["logits"][1:]},
+    "nan_logit": lambda d: {**d, "logits": [float("nan")] + d["logits"][1:]},
+    "ref_logits_wrong_length": lambda d: {**d, "ref_logits": d["logits"] + [0.0]},
+    "fractional_t": lambda d: {**d, "t": 2.5},
+    "fractional_token_id": lambda d: {**d, "token_id": 2.7},
+    "token_text_not_a_string": lambda d: {**d, "token_text": 5},
+}
+
+
+class TestReplayTrace:
+    def test_matches_replay_of_read_trace(self, tmp_path):
+        sc = Scenario(
+            vocab_size=VOCAB,
+            length=80,
+            seed=4,
+            segments=(
+                StableRegime(steps=80, target_entropy=1.0, jitter=0.05),
+                SpikeInjection(at_step=30, magnitude=3.0),
+            ),
+        )
+        records, _ = generate(sc)
+        records[10] = TraceRecord(
+            t=10, logits=records[10].logits, ref_logits=records[20].logits, token_id=3
+        )
         path = tmp_path / "trace.jsonl"
-        a = TraceRecord(t=0, logits=np.zeros(4, dtype=np.float32))
-        b = TraceRecord(t=1, logits=np.zeros(5, dtype=np.float32))
-        path.write_text(json.dumps(a.to_dict()) + "\n" + json.dumps(b.to_dict()) + "\n")
-        with pytest.raises(TraceFormatError) as err:
-            read_trace(path)
-        assert "vocab" in str(err.value)
+        write_trace(records, path)
+        config = {"detector": {"t_warm": 5}}
+        events, summary = replay_trace(path, config)
+        _, expected, expected_summary = replay_records(
+            config_from_dict(config, vocab_size=VOCAB), read_trace(path)
+        )
+        assert events == expected and summary == expected_summary
+        assert summary.repair_steps > 0
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            TraceRecord(t=-1, logits=np.zeros(4, dtype=np.float32))
-        with pytest.raises(ValueError):
-            TraceRecord(t=0, logits=[float("inf"), 1.0])
-        with pytest.raises(ValueError):
-            TraceRecord(t=0, logits=[1.0, 2.0], ref_logits=[1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("make_bad", BAD_REPLAY_LINES.values(), ids=BAD_REPLAY_LINES.keys())
+    def test_bad_step_names_its_line(self, tmp_path, capsys, make_bad):
+        lines = [r.to_dict() for r in random_records(8)]
+        lines[4] = make_bad(lines[4])
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        with pytest.raises(TraceFormatError) as err:
+            replay_trace(path, {})
+        assert err.value.line == 5
+        assert main(["replay", "--trace", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("spreg: line 5: ")
+
+    def test_empty_trace(self):
+        with pytest.raises(TraceFormatError, match="trace is empty"):
+            replay_trace(io.StringIO("\n"), {})
+
+    def test_peak_memory_does_not_grow_with_trace_length(self, tmp_path):
+        vocab = 1024
+        rng = np.random.default_rng(0)
+        logits = [rng.standard_normal(vocab).astype(np.float32) for _ in range(8)]
+
+        def peak_bytes(steps: int) -> int:
+            path = tmp_path / f"trace{steps}.jsonl"
+            write_trace((TraceRecord(t=t, logits=logits[t % 8]) for t in range(steps)), path)
+            tracemalloc.start()
+            try:
+                replay_trace(path, {})
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak_bytes(50), peak_bytes(400)
+        # Keeping each float32 record and float64 directive would add 350 * 12 KiB.
+        assert long - short < 1 << 20, (short, long)
 
 
 class TestEventsRoundTrip:
