@@ -24,6 +24,6 @@ from .errors import ConfigError, ProtocolError, SpregError, TraceFormatError
 from .harness import GroundTruth, Metrics, Scenario, evaluate, generate
 from .plan_tracker import GuidanceTable, PatternSet, StepType
 from .repair import RepairParams
-from .trace_io import TraceRecord, export_csv, read_trace, replay_records, serve_stdio, write_trace
+from .trace_io import TraceRecord, export_csv, serve_stdio, write_trace
 
 __version__ = "0.1.0"

@@ -14,20 +14,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import config_from_dict, load_config, load_config_dict
+from .config import config_from_dict, load_config_dict
 from .errors import ConfigError, ProtocolError, TraceFormatError
 from .harness import BUILTIN_SCENARIOS, Scenario, evaluate, generate
 from .trace_io import (
     export_csv,
     read_events,
-    replay_records,
+    replay_stream,
     replay_trace,
     serve_stdio,
+    trace_lines,
     write_events,
-    write_trace,
 )
 
 EXIT_OK = 0
@@ -78,11 +79,12 @@ def _load_scenario(spec: str) -> Scenario:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
-    config = load_config(args.config, scenario.vocab_size)
-    records, truth = generate(scenario, seed=args.seed, detector=config.detector)
-    if args.trace:
-        write_trace(records, args.trace)
-    _, events, summary = replay_records(config, records)
+    config = load_config_dict(args.config)
+    detector = config_from_dict(config, vocab_size=scenario.vocab_size).detector
+    records, truth = generate(scenario, seed=args.seed, detector=detector)
+    # Each record is written to the trace as it is generated, then run.
+    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
+        events, summary = replay_stream(trace_lines(records, fh), config)
     metrics = evaluate(events, truth)
     if args.events:
         write_events(events, args.events)

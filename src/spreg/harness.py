@@ -9,6 +9,12 @@ argmax. Spike overlays raise the target far enough above the generator's
 own running window statistics to be unambiguous to a detector using the
 mirrored configuration. Streams are deterministic given (scenario, seed).
 
+generate() fits each record only when its iterator reaches it, so a host
+can run every step before the next one is made; the ground truth (spike
+steps, loop spans) comes from the scenario alone. An entropy target that
+the vocabulary cannot reach is the one error that can stop a stream
+part-way; every other scenario error is raised when the Scenario is built.
+
 evaluate() scores an event log against the injected ground truth with a
 step tolerance, reporting detection precision and recall.
 """
@@ -19,6 +25,7 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -110,6 +117,8 @@ class Scenario:
                 continue
             if seg.steps < 1:
                 raise ConfigError(f"segment steps must be >= 1, got {seg.steps}")
+            if isinstance(seg, DriftRegime) and seg.start_entropy is None and covered == 0:
+                raise ConfigError("drift segment needs start_entropy when it opens a scenario")
             covered += seg.steps
             for token in self._segment_tokens(seg):
                 if not 0 <= token < self.vocab_size:
@@ -225,80 +234,72 @@ def _fit_temperature(profile: np.ndarray, target: float, tol: float = _FIT_TOL) 
     return profile / math.sqrt(lo * hi)
 
 
-class _ProfileBank:
-    """Fixed per-segment logit shapes with a controllable argmax."""
-
-    def __init__(self, vocab_size: int, rng: np.random.Generator):
-        self._vocab = vocab_size
-        self._rng = rng
-
-    def build(self, anchors: tuple[int, ...]) -> np.ndarray:
-        noise = self._rng.normal(0.0, _NOISE_SCALE, self._vocab)
-        if not anchors:
-            anchors = (int(self._rng.integers(self._vocab)),)
-        profile = noise
-        for rank, token in enumerate(anchors):
-            profile[token] = _ANCHOR_BOOST - _ANCHOR_GAP * rank
-        return profile
-
-    @staticmethod
-    def with_top(profile: np.ndarray, anchors: tuple[int, ...], top: int) -> np.ndarray:
-        """Reorder anchor boosts so ``top`` is argmax, keeping the shape."""
-        out = profile.copy()
-        ordered = [top] + [a for a in anchors if a != top]
-        for rank, token in enumerate(ordered):
-            out[token] = _ANCHOR_BOOST - _ANCHOR_GAP * rank
-        return out
+def _boost(profile: np.ndarray, anchors) -> np.ndarray:
+    """Boost ``anchors`` in ``profile`` in rank order, so the first is argmax."""
+    for rank, token in enumerate(anchors):
+        profile[token] = _ANCHOR_BOOST - _ANCHOR_GAP * rank
+    return profile
 
 
 def generate(
     scenario: Scenario,
     seed: int | None = None,
     detector: DetectorConfig | None = None,
-) -> tuple[list[TraceRecord], GroundTruth]:
-    """Produce the per-step logit records and the injected ground truth.
+) -> tuple[Iterator[TraceRecord], GroundTruth]:
+    """A one-pass iterator over the per-step logit records, and the injected ground truth.
 
-    ``detector`` supplies the window size and thresholds the spike overlay
-    calibrates against (defaults mirror DetectorConfig defaults), so a
-    "3 sigma" injection is meaningful to the detector under test.
+    Each record is fitted when the iterator reaches it; the ground truth
+    comes from the scenario alone. ``detector`` supplies the window size and
+    thresholds the spike overlay calibrates against (defaults mirror
+    DetectorConfig defaults), so a "3 sigma" injection is meaningful to the
+    detector under test.
     """
-    det = detector or DetectorConfig()
+    spikes = sorted(
+        (seg for seg in scenario.segments if isinstance(seg, SpikeInjection)),
+        key=lambda s: s.at_step,
+    )
+    base_segments = [seg for seg in scenario.segments if not isinstance(seg, SpikeInjection)]
+    loop_spans: list[tuple[int, int]] = []
+    t = 0
+    for seg in base_segments:
+        if isinstance(seg, LoopRegime):
+            loop_spans.append((t, t + seg.steps))
+        t += seg.steps
+    truth = GroundTruth(
+        injected_spike_steps=tuple(s.at_step for s in spikes),
+        loop_spans=tuple(loop_spans),
+    )
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
-    bank = _ProfileBank(scenario.vocab_size, rng)
+    return _records(scenario.vocab_size, base_segments, spikes, rng, detector), truth
+
+
+def _records(vocab_size, base_segments, spikes, rng, detector) -> Iterator[TraceRecord]:
+    """Fit and yield each step's record in turn; ``generate`` describes the stream."""
+    det = detector or DetectorConfig()
     window = EntropyWindow(capacity=det.window)
     # Raising the final tail point by n*(n+1)/6 * g_min lifts the fitted
     # slope to the pre-filter floor when the prefix is flat.
     gradient_lift = det.g_min * det.n_grad * (det.n_grad + 1) / 6.0
 
-    spikes = sorted(
-        (seg for seg in scenario.segments if isinstance(seg, SpikeInjection)),
-        key=lambda s: s.at_step,
-    )
     spike_lookup: dict[int, SpikeInjection] = {}
     for spike in spikes:
         for offset in range(spike.width):
             spike_lookup[spike.at_step + offset] = spike
 
-    base_segments = [seg for seg in scenario.segments if not isinstance(seg, SpikeInjection)]
-
-    records: list[TraceRecord] = []
-    loop_spans: list[tuple[int, int]] = []
     t = 0
     prev_target: float | None = None
     prev_token: int | None = None
     spike_target: dict[int, float] = {}
 
     for seg in base_segments:
-        profile = bank.build(Scenario._segment_tokens(seg))
-        if isinstance(seg, LoopRegime):
-            loop_spans.append((t, t + seg.steps))
+        # A fixed logit shape per segment; without anchors its argmax is drawn at random.
+        profile = rng.normal(0.0, _NOISE_SCALE, vocab_size)
+        profile = _boost(profile, Scenario._segment_tokens(seg) or (int(rng.integers(vocab_size)),))
         if isinstance(seg, DriftRegime):
             if seg.start_entropy is not None:
                 drift_base, drift_offset = seg.start_entropy, 0
-            elif prev_target is not None:
+            else:  # Scenario rejects a drift without start_entropy that opens it
                 drift_base, drift_offset = prev_target, 1
-            else:
-                raise ConfigError("drift segment needs start_entropy when it opens a scenario")
         for i in range(seg.steps):
             if isinstance(seg, StableRegime):
                 target = seg.target_entropy
@@ -311,7 +312,7 @@ def generate(
             else:
                 target = seg.start_entropy + seg.slope * i
                 top = seg.tokens[i % len(seg.tokens)]
-                step_profile = bank.with_top(profile, seg.tokens, top)
+                step_profile = _boost(profile.copy(), [top, *(a for a in seg.tokens if a != top)])
 
             spike = spike_lookup.get(t)
             if spike is not None:
@@ -326,18 +327,10 @@ def generate(
             logits = _fit_temperature(step_profile, target).astype(np.float32)
             measured = shannon_entropy(logits)
             window.push(measured)
-            records.append(
-                TraceRecord(t=t, logits=logits, token_id=prev_token, token_text="")
-            )
+            yield TraceRecord(t=t, logits=logits, token_id=prev_token, token_text="")
             prev_token = int(np.argmax(logits))
             prev_target = target
             t += 1
-
-    truth = GroundTruth(
-        injected_spike_steps=tuple(s.at_step for s in spikes),
-        loop_spans=tuple(loop_spans),
-    )
-    return records, truth
 
 
 @dataclass(frozen=True)

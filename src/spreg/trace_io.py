@@ -8,9 +8,12 @@ unintervened steps omit the logits array entirely, so a passthrough step
 costs O(1) bandwidth and the host reuses its own buffer.
 
 Reading a trace line or a wire frame only parses it: ``Controller.process_step``
-validates every step, in-process, on the wire and from a file. ``replay_trace``
-feeds each record to the controller as it reads it, so its memory does not
-grow with the length of the trace.
+validates every step, in-process, on the wire and from a file. ``replay_stream``
+is the one offline driver: it feeds each numbered record to the controller as
+it arrives, so its memory does not grow with the length of the stream.
+``replay_trace`` hands it the lines of a trace file as they are parsed, and
+``spreg run`` the generated records, each written by ``trace_lines`` as the
+next line of its trace.
 
 The stdio server answers every request with exactly one response and
 never desynchronizes: protocol violations produce an ``error`` response
@@ -26,23 +29,23 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .config import config_from_dict
-from .controller import Controller, ControllerConfig, Directive, EventRecord, StreamSummary
+from .controller import Controller, Directive, EventRecord, StreamSummary
 from .errors import ConfigError, ProtocolError, TraceFormatError, checked_int
 
 __all__ = [
     "TraceRecord",
     "write_trace",
-    "read_trace",
+    "trace_lines",
     "write_events",
     "read_events",
     "export_csv",
     "serve_stdio",
-    "replay_records",
+    "replay_stream",
     "replay_trace",
 ]
 
@@ -137,17 +140,21 @@ def _write_lines(lines: Iterable[str], path_or_file) -> int:
     return n
 
 
+def trace_lines(
+    records: Iterable[TraceRecord], fh: TextIO | None
+) -> Iterator[tuple[int, TraceRecord]]:
+    """Yield (line number, record) per record, first writing it to ``fh`` if one is given."""
+    for lineno, rec in enumerate(records, start=1):
+        if fh is not None:
+            fh.write(json.dumps(rec.to_dict(), separators=(",", ":")))
+            fh.write("\n")
+        yield lineno, rec
+
+
 def write_trace(records: Iterable[TraceRecord], path_or_file) -> int:
     """Write records as JSONL; returns the number written."""
-    return _write_lines(
-        (json.dumps(rec.to_dict(), separators=(",", ":")) for rec in records), path_or_file
-    )
-
-
-def read_trace(path_or_file) -> list[TraceRecord]:
-    """Parse a JSONL trace; the controller that replays it checks each step."""
-    with _opened(path_or_file, "r") as fh:
-        return [rec for _, rec in _jsonl(fh, TraceRecord.from_dict)]
+    with _opened(path_or_file, "w") as fh:
+        return sum(1 for _ in trace_lines(records, fh))
 
 
 def write_events(events: Iterable[EventRecord], path_or_file) -> int:
@@ -197,39 +204,35 @@ def export_csv(events: Iterable[EventRecord], path_or_file) -> int:
     return _write_lines(chain([",".join(_CSV_COLUMNS)], rows), path_or_file) - 1
 
 
-def replay_records(
-    config: ControllerConfig, records: Iterable[TraceRecord]
-) -> tuple[list[Directive], list[EventRecord], StreamSummary]:
-    """Drive a fresh controller over recorded steps."""
-    controller = Controller(config)
-    directives: list[Directive] = []
-    events: list[EventRecord] = []
-    for rec in records:
-        directive, event = _feed(controller, rec)
-        directives.append(directive)
-        events.append(event)
-    return directives, events, controller.finish()
+def replay_stream(
+    numbered: Iterable[tuple[int, TraceRecord]], config: dict
+) -> tuple[list[EventRecord], StreamSummary]:
+    """Drive a fresh controller over (line number, record) pairs as they arrive.
 
-
-def replay_trace(path_or_file, config: dict) -> tuple[list[EventRecord], StreamSummary]:
-    """Replay a JSONL trace one record at a time, as it is read.
-
-    The controller is built from ``config`` and the first record's length.
-    A step it rejects raises TraceFormatError naming that step's line.
+    ``config`` is checked before the first pair is drawn, so a bad one is a
+    ConfigError and never blamed on a line. The controller is built from it
+    and the first record's length; a record that it rejects, or whose length
+    it cannot take, raises TraceFormatError naming its line.
     """
+    config_from_dict(config, vocab_size=2)
     controller: Controller | None = None
     events: list[EventRecord] = []
-    with _opened(path_or_file, "r") as fh:
-        for lineno, rec in _jsonl(fh, TraceRecord.from_dict):
+    for lineno, rec in numbered:
+        try:
             if controller is None:
                 controller = Controller(config_from_dict(config, vocab_size=rec.logits.size))
-            try:
-                events.append(_feed(controller, rec)[1])
-            except (ProtocolError, ValueError) as exc:
-                raise TraceFormatError(str(exc), line=lineno) from exc
+            events.append(_feed(controller, rec)[1])
+        except (ConfigError, ProtocolError, ValueError) as exc:
+            raise TraceFormatError(str(exc), line=lineno) from exc
     if controller is None:
         raise TraceFormatError("trace is empty")
     return events, controller.finish()
+
+
+def replay_trace(path_or_file, config: dict) -> tuple[list[EventRecord], StreamSummary]:
+    """Replay a JSONL trace one record at a time, as it is read."""
+    with _opened(path_or_file, "r") as fh:
+        return replay_stream(_jsonl(fh, TraceRecord.from_dict), config)
 
 
 def _feed(controller: Controller, rec: TraceRecord) -> tuple[Directive, EventRecord]:

@@ -29,7 +29,7 @@ from spreg.repair import (
     repetition_penalty,
     token_weights,
 )
-from spreg.trace_io import replay_records, write_events, write_trace
+from spreg.trace_io import write_events, write_trace
 
 from _oracles import (
     naive_cfg,
@@ -39,6 +39,7 @@ from _oracles import (
     oracle_decisions,
     random_h_seq,
 )
+from _replay import replay_records
 from test_detector import run_machine
 
 PARAMS = RepairParams()
@@ -241,6 +242,7 @@ def test_10_loop50_aggressive_recovery():
     scenario = Scenario.builtin("loop50")
     config = ControllerConfig(vocab_size=scenario.vocab_size)
     records, truth = generate(scenario, detector=config.detector)
+    records = list(records)
     directives, events, summary = replay_records(config, records)
     hits = [(e, d) for e, d in zip(events, directives) if e.mode is Mode.AGGRESSIVE]
     assert summary.aggressive_recoveries == 1

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 from importlib import resources
 
@@ -9,6 +10,7 @@ from spreg.config import config_from_dict, load_config, load_config_dict
 from spreg.controller import ControllerConfig, EventRecord
 from spreg.detector import DetectorConfig
 from spreg.errors import ConfigError
+from spreg.harness import BUILTIN_SCENARIOS
 from spreg.plan_tracker import GuidanceTable, StepType
 from spreg.repair import RepairParams
 
@@ -125,13 +127,43 @@ class TestCli:
         assert payload["metrics"]["recall"] == 1.0
         assert csv.exists() and events.exists()
 
-    def test_run_then_replay_consistency(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
+    def test_run_then_replay_consistency(self, tmp_path, capsys, scenario):
         trace = tmp_path / "t.jsonl"
-        assert main(["run", "--scenario", "fig1-like", "--trace", str(trace)]) == 0
+
+        def outputs(name):
+            events, csv = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+            return ["--events", str(events), "--csv", str(csv)]
+
+        assert main(["run", "--scenario", scenario, "--trace", str(trace), *outputs("run")]) == 0
         run_out = json.loads(capsys.readouterr().out)
-        assert main(["replay", "--trace", str(trace)]) == 0
+        assert main(["replay", "--trace", str(trace), *outputs("replay")]) == 0
         replay_out = json.loads(capsys.readouterr().out)
         assert replay_out["summary"] == run_out["summary"]
+        for suffix in (".jsonl", ".csv"):
+            run_file, replay_file = tmp_path / f"run{suffix}", tmp_path / f"replay{suffix}"
+            assert run_file.read_bytes() == replay_file.read_bytes()
+
+    def test_run_peak_memory_does_not_grow_with_scenario_length(self, tmp_path, capsys):
+        def peak_bytes(steps: int) -> int:
+            scenario = tmp_path / f"sc{steps}.json"
+            stable = {"kind": "stable", "steps": steps, "target_entropy": 1.0, "jitter": 0.05}
+            scenario.write_text(
+                json.dumps({"vocab_size": 1024, "length": steps, "segments": [stable]})
+            )
+            trace = tmp_path / f"t{steps}.jsonl"
+            tracemalloc.start()
+            try:
+                assert main(["run", "--scenario", str(scenario), "--trace", str(trace)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak_bytes(50)  # the first run also loads modules and caches
+        short, long = peak_bytes(50), peak_bytes(400)
+        # Keeping each float32 record and float64 directive would add 350 * 12 KiB.
+        assert long - short < 1 << 20, (short, long)
 
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["run", "--scenario", "missing-thing"]) == 2
@@ -190,6 +222,18 @@ class TestCli:
         events = tmp_path / "events.jsonl"
         events.write_text(line + "\n", encoding="utf-8", errors="surrogateescape")
         assert main(["analyze", "--events", str(events), "--csv", str(tmp_path / "o.csv")]) == 3
+
+    @pytest.mark.parametrize("logits", ["[5]", "5"])
+    def test_one_logit_trace_is_a_format_error(self, tmp_path, capsys, logits):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"t": 0, "logits": %s}\n' % logits)
+        assert main(["replay", "--trace", str(trace)]) == 3
+        assert capsys.readouterr().err == "spreg: line 1: vocab_size must be >= 2, got 1\n"
+        # The config is checked before the trace is read, so a bad one still exits 2.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"detector": {"window": 1.5}}))
+        assert main(["replay", "--trace", str(trace), "--config", str(bad)]) == 2
+        assert "detector.window" in capsys.readouterr().err
 
     def test_empty_trace_exits_3(self, tmp_path):
         trace = tmp_path / "t.jsonl"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from spreg.harness import (
     evaluate,
     generate,
 )
-from spreg.trace_io import replay_records
+
+from _replay import replay_records
 
 
 def stable_scenario(**kwargs) -> Scenario:
@@ -115,6 +118,16 @@ class TestScenarioValidation:
         valid = {k: v for k, v in segment.items() if k != key}
         assert Scenario.from_dict(payload(valid)).length == 5
 
+    def test_opening_drift_needs_start_entropy(self, tmp_path):
+        drift = {"kind": "drift", "steps": 10, "slope": 0.1}
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps({"vocab_size": 16, "length": 10, "segments": [drift]}))
+        with pytest.raises(ConfigError, match="drift segment needs start_entropy"):
+            Scenario.from_file(path)
+        stable = {"kind": "stable", "steps": 5, "target_entropy": 1.0}
+        after_stable = {"vocab_size": 16, "length": 15, "segments": [stable, drift]}
+        assert Scenario.from_dict(after_stable).length == 15
+
     def test_loop_needs_a_token(self):
         with pytest.raises(ConfigError):
             Scenario(
@@ -141,8 +154,7 @@ class TestScenarioValidation:
 class TestGenerator:
     def test_deterministic_given_seed(self):
         sc = stable_scenario()
-        a, _ = generate(sc)
-        b, _ = generate(sc)
+        a, b = list(generate(sc)[0]), list(generate(sc)[0])
         assert len(a) == len(b) == 100
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.logits, rb.logits)
@@ -168,6 +180,7 @@ class TestGenerator:
             )
         )
         records, truth = generate(sc, detector=det)
+        records = list(records)
         assert truth.injected_spike_steps == (50,)
         entropies = [shannon_entropy(r.logits) for r in records]
         local = entropies[40:50]
@@ -182,7 +195,7 @@ class TestGenerator:
                 SpikeInjection(at_step=50, magnitude=3.0),
             )
         )
-        records, _ = generate(sc)
+        records = list(generate(sc)[0])
         assert int(np.argmax(records[50].logits)) == 7
 
     def test_loop_cycles_argmax_tokens(self):
@@ -195,6 +208,7 @@ class TestGenerator:
             ),
         )
         records, truth = generate(sc)
+        records = list(records)
         assert truth.loop_spans == ((0, 20),)
         tops = [int(np.argmax(r.logits)) for r in records]
         assert tops == [3, 4] * 10
@@ -210,7 +224,7 @@ class TestGenerator:
             segments=(StableRegime(steps=10, target_entropy=3.0),),  # > ln 4
         )
         with pytest.raises(ConfigError):
-            generate(sc)
+            list(generate(sc)[0])
 
     def test_logits_are_float32(self):
         records, _ = generate(stable_scenario())

@@ -17,13 +17,13 @@ from spreg.trace_io import (
     TraceRecord,
     export_csv,
     read_events,
-    read_trace,
-    replay_records,
     replay_trace,
     serve_stdio,
     write_events,
     write_trace,
 )
+
+from _replay import read_trace, replay_records
 
 VOCAB = 24  # keeps spike entropy targets well under ln(vocab)
 
@@ -108,7 +108,7 @@ class TestReplayTrace:
                 SpikeInjection(at_step=30, magnitude=3.0),
             ),
         )
-        records, _ = generate(sc)
+        records = list(generate(sc)[0])
         records[10] = TraceRecord(
             t=10, logits=records[10].logits, ref_logits=records[20].logits, token_id=3
         )
@@ -402,7 +402,7 @@ class TestWireProtocol:
                 SpikeInjection(at_step=40, magnitude=3.0),
             ),
         )
-        records, _ = generate(sc)
+        records = list(generate(sc)[0])
         requests = [{"kind": "init", "vocab_size": VOCAB}]
         requests += [{"kind": "step", "record": r.to_dict()} for r in records]
         requests.append({"kind": "finish"})
