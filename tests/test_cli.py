@@ -127,8 +127,17 @@ class TestCli:
         assert payload["metrics"]["recall"] == 1.0
         assert csv.exists() and events.exists()
 
-    @pytest.mark.parametrize("scenario", BUILTIN_SCENARIOS)
-    def test_run_then_replay_consistency(self, tmp_path, capsys, scenario):
+    def test_run_then_replay_consistency(self, tmp_path, capsys):
+        self._check_run_then_replay(tmp_path, capsys, "fig1-like")
+
+    @pytest.mark.parametrize(
+        "scenario", [name for name in BUILTIN_SCENARIOS if name != "fig1-like"]
+    )
+    def test_run_then_replay_consistency_other_scenarios(self, tmp_path, capsys, scenario):
+        self._check_run_then_replay(tmp_path, capsys, scenario)
+
+    @staticmethod
+    def _check_run_then_replay(tmp_path, capsys, scenario):
         trace = tmp_path / "t.jsonl"
 
         def outputs(name):
