@@ -32,7 +32,7 @@ from .errors import ConfigError, checked_float, checked_int, read_json, reject_u
 from .plan_tracker import GuidanceTable, PatternSet, StepType
 from .repair import RepairParams
 
-__all__ = ["config_from_dict", "load_config", "load_config_dict"]
+__all__ = ["config_from_dict", "load_config_dict"]
 
 
 def _object(value, what: str) -> dict:
@@ -116,8 +116,4 @@ def load_config_dict(path: str | Path | None) -> dict:
     if isinstance(patterns, str):
         payload["patterns"] = str((path.parent / patterns).resolve())
     return payload
-
-
-def load_config(path: str | Path | None, vocab_size: int | None = None) -> ControllerConfig:
-    return config_from_dict(load_config_dict(path), vocab_size=vocab_size)
 

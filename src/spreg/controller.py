@@ -17,6 +17,16 @@ runs only on intervened steps; low-entropy steps feed the reference pool
 (suppressed while intervening so the prior is never contaminated by our
 own edits); finally the window absorbs the step's entropy. Unintervened
 steps pass the input logits through bit-identical.
+
+Buffers: a step keeps no |V|-sized array for the next one, apart from the
+log-probs the pool admits. An intervened step does its repair math in
+arrays it already owns and that would otherwise die: the float64 widening
+of the conditional holds the directive's logits, the conditional
+log-probs (never admitted on such a step) hold the output entropy's
+shifted values, and an external reference's widening is normalized in
+place. It never writes into an array the host passed: as_logits returns a
+float64 input uncopied, and then the step allocates instead. A directive's
+logits are never written after the step returns them.
 """
 
 from __future__ import annotations
@@ -29,24 +39,20 @@ from enum import Enum
 import numpy as np
 
 from .detector import Decision, DecisionKind, DetectorConfig, Phase, SpikeDetector
-from .distributions import (
-    as_logits,
-    entropy_and_logprobs,
-    log_softmax,
-    normalized_entropy,
-    shannon_entropy,
-)
+from .distributions import as_logits, entropy_and_logprobs, normalized_entropy
 from .errors import ConfigError, ProtocolError, checked_float, checked_int
 from .monitor import EntropyWindow, entropy_gradient
 from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
-from .repair import (
-    ReferencePool,
-    RepairParams,
-    adaptive_scale,
-    aggressive_recover,
-    guided_logits,
-    token_weights,
-)
+from .repair import ReferencePool, RepairParams, adaptive_scale
+
+# The repair step calls the in-place kernels, which write into buffers the
+# step owns. Each is bound under the name of its public allocating form:
+# perfbench/tracing.py times a layer by wrapping that name in this module.
+from .distributions import _entropy_into as shannon_entropy
+from .distributions import _log_softmax_into as log_softmax
+from .repair import _aggressive_into as aggressive_recover
+from .repair import _guided_into as guided_logits
+from .repair import _token_weights_into as token_weights
 
 __all__ = [
     "Mode",
@@ -157,6 +163,18 @@ class StreamSummary:
     mean_entropy: float | None  # None before the first step
 
 
+def _scratch(z: np.ndarray, given) -> np.ndarray:
+    """A |V| array the step may write: ``z`` if as_logits widened ``given``
+    into it, else a new array like it.
+
+    as_logits copies an array of any other dtype and returns a float64
+    array as is, so a step writes into its own copy and never into the
+    host's array.
+    """
+    copied = isinstance(given, np.ndarray) and given.dtype != np.float64
+    return z if copied else np.empty_like(z)
+
+
 def _checked_token(token_id, token_text) -> int | None:
     """Validate a sampled-token report before it changes any state."""
     if token_text is not None and not isinstance(token_text, str):
@@ -236,8 +254,7 @@ class Controller:
             raise ProtocolError(f"step {t}: sampled token was already notified")
         vocab = self.config.vocab_size
         cond = as_logits(cond_logits, vocab)
-        if ref_logits is not None:
-            ref_logits = as_logits(ref_logits, vocab)
+        ref = None if ref_logits is None else as_logits(ref_logits, vocab)
         entropy, cond_logprobs = entropy_and_logprobs(cond)
 
         # Every input is valid; stream state changes only from here on.
@@ -252,7 +269,7 @@ class Controller:
 
         phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
         directive, lam, source, modified_entropy = self._repair(
-            cond, cond_logprobs, ref_logits, entropy, mu, step_type, decision
+            (cond, cond_logits), cond_logprobs, (ref, ref_logits), entropy, mu, step_type, decision
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
@@ -286,31 +303,42 @@ class Controller:
             return None
         return entropy_gradient([*prior, entropy])
 
-    def _reference(self, ref_logits: np.ndarray | None) -> tuple[np.ndarray, ReferenceSource]:
-        if ref_logits is not None:
-            return log_softmax(ref_logits), ReferenceSource.EXTERNAL
+    def _reference(
+        self, ref: np.ndarray | None, ref_logits, work: np.ndarray
+    ) -> tuple[np.ndarray, ReferenceSource]:
+        if ref is not None:
+            return log_softmax(ref, _scratch(ref, ref_logits), work), ReferenceSource.EXTERNAL
         if len(self._pool) > 0:
             return self._pool.synthesize(), ReferenceSource.POOL
         return self._pool.synthesize(), ReferenceSource.UNIFORM
 
     def _repair(
         self,
-        cond: np.ndarray,
+        cond_in: tuple[np.ndarray, object],
         cond_logprobs: np.ndarray,
-        ref_logits: np.ndarray | None,
+        ref_in: tuple[np.ndarray | None, object],
         entropy: float,
         mu: float | None,
         step_type: StepType,
         decision: Decision,
     ) -> tuple[Directive, float | None, ReferenceSource, float | None]:
-        """The directive, guidance scale, reference source and modified entropy of a step."""
+        """The directive, guidance scale, reference source and modified entropy of a step.
+
+        ``cond_in`` and ``ref_in`` pair each validated vector with what the
+        host passed. An intervened step writes only into arrays it owns: the
+        widened inputs (dead once the log-probs exist), ``cond_logprobs``
+        (the pool admits only unintervened steps) and the reference. At
+        most four |V| float64 arrays are live at once.
+        """
+        cond, cond_logits = cond_in
         if decision.kind is DecisionKind.NO_ACTION:
             return Directive(logits=cond), None, ReferenceSource.NA, None
         params = self.config.repair
-        ref, source = self._reference(ref_logits)
+        out = _scratch(cond, cond_logits)
+        ref, source = self._reference(*ref_in, work=out)
         if decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
             lam = params.lambda_max
-            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params)
+            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params, out)
             directive = Directive(
                 logits=out, mode=Mode.AGGRESSIVE, temperature_override=temperature
             )
@@ -319,11 +347,14 @@ class Controller:
                 entropy, mu, step_type, decision.repair_index, self.config.guidance, params
             )
             weights = token_weights(
-                ref, normalized_entropy(entropy, self.config.vocab_size), params
+                ref, normalized_entropy(entropy, self.config.vocab_size), params,
+                np.empty_like(ref), out,
             )
-            out = guided_logits(cond_logprobs, ref, lam, weights)
+            weights *= lam  # the extrapolation factor, scale * weights
+            out = guided_logits(cond_logprobs, ref, weights, out)
             directive = Directive(logits=out, mode=Mode.REPAIR)
-        return directive, lam, source, shannon_entropy(out)
+        modified_entropy, _ = shannon_entropy(out, cond_logprobs, ref)
+        return directive, lam, source, modified_entropy
 
     def finish(self) -> StreamSummary:
         """Cumulative tallies; equal to a recount over the emitted events."""

@@ -9,7 +9,10 @@ keeps full relative precision even for sharply peaked distributions, and
 entries whose probability underflows to zero contribute exactly zero to
 the entropy (the p*log p limit convention).
 
-Every function here is pure and safe to call concurrently.
+Each computation has one implementation, a private ``_*_into`` kernel that
+writes into the float64 buffers it is given; the public functions allocate
+those buffers and call it, so they are pure and never write into their
+arguments. The controller calls the kernels with buffers its step owns.
 """
 
 from __future__ import annotations
@@ -31,13 +34,18 @@ __all__ = [
 # window mean, a constant reference's spread) in the detector and repair rules.
 EPSILON = 1e-6
 
+# The widest logit range (max - min) as_logits accepts. Together with the
+# caps on RepairParams it keeps every repair quantity finite; see ``repair``.
+MAX_LOGIT_RANGE = 1e100
+
 
 def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     """Validate and widen a logit vector to a 1-D float64 array.
 
     Raises ValueError for wrong dimensionality, fewer than two vocabulary
     entries, a vocab_size mismatch, non-finite entries, or a range
-    (max - min) too wide for float64, whose log-probs would overflow.
+    (max - min) above MAX_LOGIT_RANGE. A float64 array is returned as is,
+    not copied.
     """
     z = np.asarray(values, dtype=np.float64)
     if z.ndim != 1:
@@ -46,53 +54,64 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
         raise ValueError(f"vocabulary must have at least 2 entries, got {z.size}")
     if vocab_size is not None and z.size != vocab_size:
         raise ValueError(f"expected {vocab_size} logits, got {z.size}")
-    # NaN, +-inf and an overflowing range all make this difference non-finite.
-    if not math.isfinite(float(z.max()) - float(z.min())):
-        raise ValueError("logits must be finite, with a range that fits in float64")
+    # NaN, +-inf and an overflowing range all fail this comparison.
+    if not float(z.max()) - float(z.min()) <= MAX_LOGIT_RANGE:
+        raise ValueError(f"logits must be finite, with a range of at most {MAX_LOGIT_RANGE:g}")
     return z
 
 
-def _peak_parts(logits) -> tuple[np.ndarray, np.ndarray, float]:
-    """Max-shifted logits, their exponentials (argmax zeroed), and the rest mass.
+def _peak_parts(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> float:
+    """Write the max-shifted logits into ``shifted`` and their exponentials
+    (argmax zeroed) into ``work``; return the rest mass, the sum of ``work``.
 
     The argmax exponential is exactly 1 and is removed so logsumexp can be
-    taken as log1p(rest) at full relative precision. Both arrays are fresh,
-    so callers may modify them in place.
+    taken as log1p(rest) at full relative precision. ``shifted`` may be
+    ``z`` itself; ``work`` must be a third array.
     """
-    z = np.asarray(logits, dtype=np.float64)
     i = int(np.argmax(z))
-    shifted = z - z[i]
-    e = np.exp(shifted)
-    e[i] = 0.0
-    return shifted, e, float(e.sum())
+    np.subtract(z, z[i], out=shifted)
+    np.exp(shifted, out=work)
+    work[i] = 0.0
+    return float(work.sum())
+
+
+def _log_softmax_into(z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """log_softmax of float64 ``z`` written into ``out`` (which may be ``z``)."""
+    rest = _peak_parts(z, out, work)
+    out -= math.log1p(rest)
+    return out
+
+
+def _entropy_into(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> tuple[float, float]:
+    """Entropy of softmax(z) and logsumexp(z) - max(z), using two float64 buffers.
+
+    ``shifted`` is left holding z - max(z); both buffers are overwritten.
+    """
+    rest = _peak_parts(z, shifted, work)
+    lse = math.log1p(rest)
+    # H = lse - E[shifted]; the argmax term of the dot is zero by shift.
+    return lse - float(np.dot(work, shifted)) / (1.0 + rest), lse
 
 
 def log_softmax(logits) -> np.ndarray:
     """Normalized log-probabilities: z[v] - logsumexp(z)."""
-    shifted, _, rest = _peak_parts(logits)
-    shifted -= math.log1p(rest)
-    return shifted
+    z = np.asarray(logits, dtype=np.float64)
+    return _log_softmax_into(z, np.empty_like(z), np.empty_like(z))
 
 
 def shannon_entropy(logits) -> float:
     """Entropy of softmax(logits), in nats."""
-    h, _ = _entropy_parts(logits)
-    return h
+    z = np.asarray(logits, dtype=np.float64)
+    return _entropy_into(z, np.empty_like(z), np.empty_like(z))[0]
 
 
 def entropy_and_logprobs(logits) -> tuple[float, np.ndarray]:
     """Entropy plus the normalized log-probabilities, sharing one pass."""
-    h, (shifted, lse) = _entropy_parts(logits)
-    shifted -= lse
-    return h, shifted
-
-
-def _entropy_parts(logits) -> tuple[float, tuple[np.ndarray, float]]:
-    shifted, e, rest = _peak_parts(logits)
-    lse = math.log1p(rest)
-    # H = lse - E[shifted]; the argmax term of the dot is zero by shift.
-    h = lse - float(np.dot(e, shifted)) / (1.0 + rest)
-    return h, (shifted, lse)
+    z = np.asarray(logits, dtype=np.float64)
+    logprobs = np.empty_like(z)
+    h, lse = _entropy_into(z, logprobs, np.empty_like(z))
+    logprobs -= lse
+    return h, logprobs
 
 
 def normalized_entropy(entropy: float, vocab_size: int) -> float:

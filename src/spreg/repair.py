@@ -15,9 +15,23 @@ finite, normalized float64 log-probs (log_softmax output) of the stream's
 vocabulary size, and the scalars are those of a validated step and config.
 The controller validates each step once, so nothing here re-checks them.
 
+Finiteness rule: a step whose logits could carry the extrapolation past
+float64 is rejected before it commits. ``as_logits`` accepts a logit range
+(max - min) of at most ``MAX_LOGIT_RANGE`` (1e100), and ``RepairParams``
+caps ``lambda_max``, ``eta`` and ``rho`` at ``MAX_GAIN`` (1e60). The
+log-probs then lie within about 1e100 of 0, a weight's size is at most
+1 + eta * sqrt(|V|), and every guided or penalized logit stays below about
+1e230 in size, so the directive and its modified entropy are finite for
+any vocabulary that fits in memory. A rejected step leaves the stream as
+it was, and the host may retry the same t.
+
 Aggressive recovery escalates: guidance at the capped scale, a repetition
 penalty over recently sampled token ids, and a sharp sampling-temperature
 override returned to the host.
+
+Each computation has one implementation, a private ``_*_into`` kernel that
+writes into the float64 buffers it is given; the public functions allocate
+those buffers and call it, and never write into their arguments.
 """
 
 from __future__ import annotations
@@ -28,7 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EPSILON, log_softmax
+# Bound under the public name, which perfbench/tracing.py wraps in this
+# module to time the pool reference's log_softmax.
+from .distributions import EPSILON
+from .distributions import _log_softmax_into as log_softmax
 from .errors import ConfigError
 from .plan_tracker import GuidanceTable, StepType
 
@@ -43,6 +60,10 @@ __all__ = [
     "aggressive_recover",
 ]
 
+# Upper bound on lambda_max, eta and rho; see the finiteness rule above.
+MAX_GAIN = 1e60
+
+
 @dataclass(frozen=True)
 class RepairParams:
     beta: float = 0.5
@@ -56,9 +77,9 @@ class RepairParams:
     def __post_init__(self):
         checks = [
             (self.beta >= 0, "beta must be >= 0"),
-            (self.eta >= 0, "eta must be >= 0"),
-            (self.lambda_max >= 1, "lambda_max must be >= 1"),
-            (self.rho > 1, "rho must be > 1"),
+            (0 <= self.eta <= MAX_GAIN, f"eta must be in [0, {MAX_GAIN:g}]"),
+            (1 <= self.lambda_max <= MAX_GAIN, f"lambda_max must be in [1, {MAX_GAIN:g}]"),
+            (1 < self.rho <= MAX_GAIN, f"rho must be in (1, {MAX_GAIN:g}]"),
             (0 < self.t_recover <= 1, "t_recover must be in (0, 1]"),
             (self.recent_window >= 1, "recent_window must be >= 1"),
             (self.pool_capacity >= 1, "pool_capacity must be >= 1"),
@@ -97,7 +118,8 @@ class ReferencePool:
         The rows are added one by one in insertion order into a single
         buffer: that is the same sequence of float additions as numpy's
         axis-0 mean of the stacked entries, so the result is bit-identical
-        to it without materialising a capacity x |V| array.
+        to it without materialising a capacity x |V| array. The result is
+        a fresh array the caller owns.
         """
         if not self._entries:
             return np.full(self.vocab_size, -math.log(self.vocab_size))
@@ -106,7 +128,7 @@ class ReferencePool:
         for row in rows:
             total += row
         total /= len(self._entries)
-        return log_softmax(total)
+        return log_softmax(total, total, np.empty_like(total))
 
 
 def adaptive_scale_raw(
@@ -144,6 +166,26 @@ def adaptive_scale(
     return min(max(raw, 1.0), params.lambda_max)
 
 
+def _token_weights_into(
+    ref: np.ndarray,
+    normalized_entropy: float,
+    params: RepairParams,
+    out: np.ndarray,
+    work: np.ndarray,
+) -> np.ndarray:
+    """token_weights of float64 ``ref`` written into ``out``; ``work`` is overwritten."""
+    np.subtract(ref, ref.mean(), out=out)
+    # Second centering pass removes the float residue of the first, which
+    # the small (sigma + EPSILON) divisor would otherwise amplify.
+    out -= out.mean()
+    np.square(out, out=work)
+    sigma_ref = float(np.sqrt(np.mean(work)))
+    out *= params.eta * normalized_entropy
+    out /= sigma_ref + EPSILON
+    out += 1.0
+    return out
+
+
 def token_weights(reference, normalized_entropy: float, params: RepairParams) -> np.ndarray:
     """Per-token guidance weights from the standardized reference vector.
 
@@ -151,12 +193,16 @@ def token_weights(reference, normalized_entropy: float, params: RepairParams) ->
     weights average to exactly 1, and a constant reference yields all ones.
     """
     ref = np.asarray(reference, dtype=np.float64)
-    dev = ref - ref.mean()
-    # Second centering pass removes the float residue of the first, which
-    # the small (sigma + EPSILON) divisor would otherwise amplify.
-    dev -= dev.mean()
-    sigma_ref = float(np.sqrt(np.mean(dev**2)))
-    return 1.0 + params.eta * normalized_entropy * dev / (sigma_ref + EPSILON)
+    out, work = np.empty_like(ref), np.empty_like(ref)
+    return _token_weights_into(ref, normalized_entropy, params, out, work)
+
+
+def _guided_into(cond_logprobs, ref_logprobs, factor, out: np.ndarray) -> np.ndarray:
+    """ref + factor * (cond - ref) written into ``out``, where factor = scale * weights."""
+    np.subtract(cond_logprobs, ref_logprobs, out=out)
+    out *= factor
+    out += ref_logprobs
+    return out
 
 
 def guided_logits(
@@ -170,7 +216,19 @@ def guided_logits(
     scale=1 with unit weights reproduces the conditional; scale=0
     reproduces the reference.
     """
-    return ref_logprobs + scale * weights * (cond_logprobs - ref_logprobs)
+    out = np.empty(np.shape(cond_logprobs))
+    return _guided_into(cond_logprobs, ref_logprobs, scale * weights, out)
+
+
+def _penalize(z: np.ndarray, recent_ids, rho: float) -> np.ndarray:
+    """repetition_penalty applied to float64 ``z`` in place."""
+    ids = [i for i in set(recent_ids) if 0 <= i < z.size]
+    if not ids:
+        return z
+    idx = np.fromiter(ids, dtype=np.intp)
+    vals = z[idx]
+    z[idx] = np.where(vals > 0, vals / rho, np.where(vals < 0, vals * rho, vals))
+    return z
 
 
 def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
@@ -180,14 +238,15 @@ def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
     multiplied; zeros and tokens outside the recent set are untouched, so
     signs are always preserved.
     """
-    z = np.array(logits, dtype=np.float64)
-    ids = [i for i in set(recent_ids) if 0 <= i < z.size]
-    if not ids:
-        return z
-    idx = np.fromiter(ids, dtype=np.intp)
-    vals = z[idx]
-    z[idx] = np.where(vals > 0, vals / rho, np.where(vals < 0, vals * rho, vals))
-    return z
+    return _penalize(np.array(logits, dtype=np.float64), recent_ids, rho)
+
+
+def _aggressive_into(
+    cond_logprobs, ref_logprobs, recent_ids, params: RepairParams, out: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """aggressive_recover with its logits written into ``out``."""
+    _guided_into(cond_logprobs, ref_logprobs, params.lambda_max, out)
+    return _penalize(out, recent_ids, params.rho), params.t_recover
 
 
 def aggressive_recover(
@@ -202,5 +261,5 @@ def aggressive_recover(
     set to break loops, and returns the sharp sampling temperature the
     host should use for this step.
     """
-    guided = guided_logits(cond_logprobs, ref_logprobs, params.lambda_max)
-    return repetition_penalty(guided, recent_ids, params.rho), params.t_recover
+    out = np.empty(np.shape(cond_logprobs))
+    return _aggressive_into(cond_logprobs, ref_logprobs, recent_ids, params, out)

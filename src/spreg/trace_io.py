@@ -39,7 +39,6 @@ from .errors import ConfigError, ProtocolError, TraceFormatError, checked_int
 
 __all__ = [
     "TraceRecord",
-    "write_trace",
     "trace_lines",
     "write_events",
     "read_events",
@@ -149,12 +148,6 @@ def trace_lines(
             fh.write(json.dumps(rec.to_dict(), separators=(",", ":")))
             fh.write("\n")
         yield lineno, rec
-
-
-def write_trace(records: Iterable[TraceRecord], path_or_file) -> int:
-    """Write records as JSONL; returns the number written."""
-    with _opened(path_or_file, "w") as fh:
-        return sum(1 for _ in trace_lines(records, fh))
 
 
 def write_events(events: Iterable[EventRecord], path_or_file) -> int:

@@ -1,12 +1,19 @@
 """Whole-stream trace helpers for tests.
 
 ``spreg`` streams every offline replay (``trace_io.replay_stream``). Tests
-that index records or directives after a run use these instead: one reads a
-whole trace into a list, the other keeps every directive and event.
+that build, index or keep a whole trace use these instead: one writes
+records to a trace file, one reads a whole trace into a list, and one keeps
+every directive and event.
 """
 
 from spreg.controller import Controller
-from spreg.trace_io import TraceRecord, _feed, _jsonl, _opened
+from spreg.trace_io import TraceRecord, _feed, _jsonl, _opened, trace_lines
+
+
+def write_trace(records, path_or_file) -> int:
+    """Write records as JSONL; returns the number written."""
+    with _opened(path_or_file, "w") as fh:
+        return sum(1 for _ in trace_lines(records, fh))
 
 
 def read_trace(path_or_file) -> list[TraceRecord]:

@@ -29,7 +29,7 @@ from spreg.repair import (
     repetition_penalty,
     token_weights,
 )
-from spreg.trace_io import write_events, write_trace
+from spreg.trace_io import write_events
 
 from _oracles import (
     naive_cfg,
@@ -39,7 +39,7 @@ from _oracles import (
     oracle_decisions,
     random_h_seq,
 )
-from _replay import replay_records
+from _replay import replay_records, write_trace
 from test_detector import run_machine
 
 PARAMS = RepairParams()

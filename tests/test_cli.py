@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from spreg.cli import main
-from spreg.config import config_from_dict, load_config, load_config_dict
+from spreg.config import config_from_dict, load_config_dict
 from spreg.controller import ControllerConfig, EventRecord
 from spreg.detector import DetectorConfig
 from spreg.errors import ConfigError
@@ -92,7 +92,7 @@ class TestConfigLoading:
         }
         (tmp_path / "p.json").write_text(json.dumps(patterns))
         (tmp_path / "cfg.json").write_text(json.dumps({"vocab_size": 8, "patterns": "p.json"}))
-        cfg = load_config(tmp_path / "cfg.json")
+        cfg = config_from_dict(load_config_dict(tmp_path / "cfg.json"))
         assert cfg.patterns is not None
 
     def test_default_file_documents_every_field(self):

@@ -1,5 +1,7 @@
 import json
+import math
 import pickle
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -7,12 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spreg.controller import Controller, ControllerConfig, EventRecord, Mode
+from spreg.config import config_from_dict
+from spreg.controller import Controller, ControllerConfig, EventRecord, Mode, ReferenceSource
 from spreg.detector import DetectorConfig
 from spreg.distributions import log_softmax, normalized_entropy, shannon_entropy
 from spreg.errors import ConfigError, ProtocolError
 from spreg.plan_tracker import StepType
-from spreg.repair import RepairParams, adaptive_scale, guided_logits, token_weights
+from spreg.repair import (
+    MAX_GAIN,
+    ReferencePool,
+    RepairParams,
+    adaptive_scale,
+    aggressive_recover,
+    guided_logits,
+    token_weights,
+)
 
 VOCAB = 16
 
@@ -229,9 +240,7 @@ class TestRepairPath:
             if event.mode is Mode.NONE:
                 assert event.modified_entropy is None
             else:
-                assert event.modified_entropy == pytest.approx(
-                    shannon_entropy(directive.logits), abs=1e-12
-                )
+                assert event.modified_entropy == shannon_entropy(directive.logits)
 
 
 class TestAggressivePath:
@@ -540,6 +549,8 @@ VECTOR_FAULTS = {
     "bad_ref": lambda c, t, s: process(c, t, s, ref_logits=np.zeros(PROP_VOCAB - 1)),
     "nan_ref": lambda c, t, s: process(c, t, s, ref_logits=np.full(PROP_VOCAB, np.nan)),
     "overflow": lambda c, t, s: process(c, t, s, cond_logits=OVERFLOW),
+    "wide_range": lambda c, t, s: process(c, t, s, cond_logits=_with(s.z, 1, -1e300)),
+    "wide_ref": lambda c, t, s: process(c, t, s, ref_logits=_with(s.z, 1, 1e300)),
     "t+1": lambda c, t, s: process(c, t + 1, s),
     "t-1": lambda c, t, s: process(c, t - 1, s),
     "t=float": lambda c, t, s: process(c, float(t), s),
@@ -598,3 +609,160 @@ class TestFailedStepProperty:
             out, _ = run_stream(random_stream(seed, 60))
             modes |= {d.mode for d, _ in out}
         assert modes == set(Mode)
+
+
+EVERY_KIND = {
+    (Mode.NONE, ReferenceSource.NA),
+    (Mode.REPAIR, ReferenceSource.EXTERNAL),
+    (Mode.REPAIR, ReferenceSource.POOL),
+    (Mode.AGGRESSIVE, ReferenceSource.EXTERNAL),
+    (Mode.AGGRESSIVE, ReferenceSource.POOL),
+}
+
+
+class TestStepNumerics:
+    """The in-place step equals the public allocating functions, and owns its buffers."""
+
+    SEEDS = range(5)
+
+    def test_directives_equal_the_public_functions_composed_in_order(self):
+        params = PROP_CONFIG.repair
+        kinds = set()
+        for seed in self.SEEDS:
+            steps = random_stream(seed, 60)
+            out, _ = run_stream(steps)
+            kinds |= {(e.mode, e.reference_source) for _, e in out}
+            pool = ReferencePool(PROP_VOCAB, params.pool_capacity)
+            recent: list[int] = []
+            for step, (directive, event) in zip(steps, out):
+                if step.token_id is not None:
+                    recent = (recent + [step.token_id])[-params.recent_window :]
+                cond = log_softmax(step.z)
+                if event.mode is Mode.NONE:
+                    if event.mu is not None and event.entropy < event.mu:
+                        pool.record(cond)
+                    continue
+                ref = pool.synthesize() if step.ref is None else log_softmax(step.ref)
+                if event.mode is Mode.AGGRESSIVE:
+                    expected, _ = aggressive_recover(cond, ref, recent, params)
+                else:
+                    h_norm = normalized_entropy(event.entropy, PROP_VOCAB)
+                    weights = token_weights(ref, h_norm, params)
+                    expected = guided_logits(cond, ref, event.lambda_applied, weights)
+                assert directive.logits == pytest.approx(expected, abs=0)
+                assert event.modified_entropy == shannon_entropy(expected)
+        assert kinds == EVERY_KIND
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_step_writes_into_the_callers_arrays(self, dtype):
+        kinds = set()
+        for seed in self.SEEDS:
+            steps = [
+                replace(s, z=s.z.astype(dtype), ref=None if s.ref is None else s.ref.astype(dtype))
+                for s in random_stream(seed, 60)
+            ]
+            inputs = [
+                (s.z, s.z.tobytes(), s.ref, None if s.ref is None else s.ref.tobytes())
+                for s in steps
+            ]
+            ctrl = Controller(PROP_CONFIG)
+            kept = []
+            for t, step in enumerate(steps):
+                if step.notify:
+                    ctrl.notify_sampled(step.token_id, step.token_text)
+                directive, event = process(ctrl, t, step)
+                kinds.add((event.mode, event.reference_source))
+                # Every input so far, and every directive kept from an
+                # earlier step, is byte-equal to what it was.
+                for z, z_bytes, ref, ref_bytes in inputs[: t + 1]:
+                    assert z.tobytes() == z_bytes
+                    assert ref is None or ref.tobytes() == ref_bytes
+                for logits, logits_bytes in kept:
+                    assert logits.tobytes() == logits_bytes
+                kept.append((directive.logits, directive.logits.tobytes()))
+        assert kinds == EVERY_KIND
+
+    def test_steady_state_step_allocates_at_most_four_vectors(self):
+        # Allocating every temporary afresh took 7 vectors on a pool repair
+        # and 8 on an external one.
+        vocab = 4096
+        vector = 8 * vocab
+        rng = np.random.default_rng(5)
+
+        def sharp():
+            z = rng.standard_normal(vocab).astype(np.float32)
+            z[int(rng.integers(vocab))] += 12.0
+            return z
+
+        ctrl = Controller(ControllerConfig(vocab_size=vocab))
+        peaks: dict = {}
+        tracemalloc.start()
+        try:
+            for t in range(200):
+                spike = t % 40 == 20
+                # Spikes alternate between a host reference and the pool.
+                z = np.zeros(vocab, dtype=np.float32) if spike else sharp()
+                ref = sharp() if spike and t % 80 < 40 else None
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                _, event = ctrl.process_step(t, z, ref)
+                if t >= 80:
+                    kind = (event.mode, event.reference_source)
+                    peaks[kind] = max(peaks.get(kind, 0), tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert set(peaks) == {
+            (Mode.NONE, ReferenceSource.NA),
+            (Mode.REPAIR, ReferenceSource.EXTERNAL),
+            (Mode.REPAIR, ReferenceSource.POOL),
+        }
+        # A quarter vector covers the step's small Python objects.
+        assert peaks[(Mode.NONE, ReferenceSource.NA)] <= 3.25 * vector
+        assert peaks[(Mode.REPAIR, ReferenceSource.EXTERNAL)] <= 4.25 * vector
+        assert peaks[(Mode.REPAIR, ReferenceSource.POOL)] <= 4.25 * vector
+
+
+class TestFiniteness:
+    """A logit range over MAX_LOGIT_RANGE is rejected before the commit; within it
+    and the RepairParams caps every directive and modified entropy is finite."""
+
+    def test_range_over_the_bound_is_rejected_before_the_commit(self):
+        # Accepted, this input reaches an aggressive step at t=41 whose
+        # extrapolation overflows after the step has committed.
+        config = {"vocab_size": 8, "detector": {"c_high": 2, "t_warm": 0}}
+        ctrl = Controller(config_from_dict(config))
+        for t in range(40):
+            ctrl.process_step(t, np.array([9.0] + [0.0] * 7))
+        with pytest.raises(ValueError):
+            ctrl.process_step(40, np.array([0.0] * 7 + [-1e308]))
+        assert ctrl._next_t == 40
+        modes = [ctrl.process_step(t, np.array([0.0] * 7 + [-9.9e99]))[1].mode for t in (40, 41)]
+        assert modes == [Mode.NONE, Mode.AGGRESSIVE]
+
+    def test_gains_over_the_cap_are_config_errors(self):
+        for key in ("lambda_max", "eta", "rho"):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"vocab_size": 8, "repair": {key: MAX_GAIN * 10}})
+
+    def test_widest_inputs_at_the_caps_stay_finite(self):
+        # pytest turns numpy's overflow warnings into errors here, so an
+        # overflow anywhere in the step fails the test.
+        gain = MAX_GAIN
+        config = replace(PROP_CONFIG, repair=RepairParams(lambda_max=gain, eta=gain, rho=gain))
+
+        def widest(z):
+            # The lowest logit moves to the bound; the entropy barely moves.
+            return None if z is None else _with(z, int(np.argmin(z)), z.max() - 9.9e99)
+
+        kinds = set()
+        for seed in range(5):
+            ctrl = Controller(config)
+            for t, step in enumerate(random_stream(seed, 60)):
+                if step.notify:
+                    ctrl.notify_sampled(step.token_id, step.token_text)
+                wide = replace(step, z=widest(step.z), ref=widest(step.ref))
+                directive, event = process(ctrl, t, wide)
+                kinds.add(event.mode)
+                assert np.all(np.isfinite(directive.logits))
+                assert event.modified_entropy is None or math.isfinite(event.modified_entropy)
+        assert kinds == set(Mode)

@@ -43,7 +43,10 @@ def test_as_logits_rejects_bad_input():
     # Finite, but the range overflows: the log-probs and entropy would be NaN.
     with pytest.raises(ValueError):
         as_logits([1e308, -1e308, 0.0])
-    assert as_logits([1e307, -1e307]).dtype == np.float64
+    # Finite and representable, but wider than the repair can extrapolate.
+    with pytest.raises(ValueError):
+        as_logits([1e100, -1e100])
+    assert as_logits([5e99, -5e99]).dtype == np.float64
 
 
 @given(finite_logits)

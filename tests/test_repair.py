@@ -44,6 +44,10 @@ class TestRepairParams:
             {"t_recover": 1.5},
             {"recent_window": 0},
             {"beta": -0.1},
+            {"eta": -0.1},
+            {"lambda_max": 1e61},
+            {"eta": 1e61},
+            {"rho": 1e61},
         ],
     )
     def test_invalid(self, kwargs):
@@ -241,6 +245,21 @@ class TestRepetitionPenalty:
     def test_sign_preservation(self, z, recent):
         out = repetition_penalty(z, recent, rho=1.3)
         assert np.all(np.sign(out) == np.sign(z))
+
+
+@given(logit_vectors, st.floats(min_value=0, max_value=1))
+@settings(max_examples=50)
+def test_public_forms_leave_their_arguments_unchanged(z, h):
+    cond, ref = log_softmax(z), log_softmax(z[::-1])
+    weights = token_weights(ref, h, PARAMS)
+    args = [z, cond, ref, weights]
+    before = [a.tobytes() for a in args]
+    log_softmax(z)
+    shannon_entropy(z)
+    guided_logits(cond, ref, 2.0, weights)
+    repetition_penalty(cond, {0, 1}, PARAMS.rho)
+    aggressive_recover(cond, ref, {0, 1}, PARAMS)
+    assert [a.tobytes() for a in args] == before
 
 
 class TestAggressiveRecover:

@@ -20,10 +20,9 @@ from spreg.trace_io import (
     replay_trace,
     serve_stdio,
     write_events,
-    write_trace,
 )
 
-from _replay import read_trace, replay_records
+from _replay import read_trace, replay_records, write_trace
 
 VOCAB = 24  # keeps spike entropy targets well under ln(vocab)
 
