@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import config_from_dict, load_config_dict
@@ -79,9 +79,11 @@ def _load_scenario(spec: str) -> Scenario:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
     config = load_config_dict(args.config)
     detector = config_from_dict(config, vocab_size=scenario.vocab_size).detector
-    records, truth = generate(scenario, seed=args.seed, detector=detector)
+    records, truth = generate(scenario, detector=detector)
     # Each record is written to the trace as it is generated, then run.
     with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
         events, summary = replay_stream(trace_lines(records, fh), config)

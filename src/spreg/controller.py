@@ -19,14 +19,16 @@ own edits); finally the window absorbs the step's entropy. Unintervened
 steps pass the input logits through bit-identical.
 
 Buffers: a step keeps no |V|-sized array for the next one, apart from the
-log-probs the pool admits. An intervened step does its repair math in
-arrays it already owns and that would otherwise die: the float64 widening
-of the conditional holds the directive's logits, the conditional
-log-probs (never admitted on such a step) hold the output entropy's
-shifted values, and an external reference's widening is normalized in
-place. It never writes into an array the host passed: as_logits returns a
-float64 input uncopied, and then the step allocates instead. A directive's
-logits are never written after the step returns them.
+log-probs the pool admits. An intervened step calls the public math
+functions of ``distributions`` and ``repair``, and passes as their keyword
+buffers (``out``, ``shifted``, ``work``) arrays it already owns and that
+would otherwise die: the float64 widening of the conditional holds the
+directive's logits, the conditional log-probs (never admitted on such a
+step) hold the output entropy's shifted values, and an external
+reference's widening is normalized in place. It never writes into an
+array the host passed: as_logits returns a float64 input uncopied, and
+then the step allocates instead. A directive's logits are never written
+after the step returns them.
 """
 
 from __future__ import annotations
@@ -39,20 +41,24 @@ from enum import Enum
 import numpy as np
 
 from .detector import Decision, DecisionKind, DetectorConfig, Phase, SpikeDetector
-from .distributions import as_logits, entropy_and_logprobs, normalized_entropy
+from .distributions import (
+    as_logits,
+    entropy_and_logprobs,
+    log_softmax,
+    normalized_entropy,
+    shannon_entropy,
+)
 from .errors import ConfigError, ProtocolError, checked_float, checked_int
 from .monitor import EntropyWindow, entropy_gradient
 from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
-from .repair import ReferencePool, RepairParams, adaptive_scale
-
-# The repair step calls the in-place kernels, which write into buffers the
-# step owns. Each is bound under the name of its public allocating form:
-# perfbench/tracing.py times a layer by wrapping that name in this module.
-from .distributions import _entropy_into as shannon_entropy
-from .distributions import _log_softmax_into as log_softmax
-from .repair import _aggressive_into as aggressive_recover
-from .repair import _guided_into as guided_logits
-from .repair import _token_weights_into as token_weights
+from .repair import (
+    ReferencePool,
+    RepairParams,
+    adaptive_scale,
+    aggressive_recover,
+    guided_logits,
+    token_weights,
+)
 
 __all__ = [
     "Mode",
@@ -307,7 +313,8 @@ class Controller:
         self, ref: np.ndarray | None, ref_logits, work: np.ndarray
     ) -> tuple[np.ndarray, ReferenceSource]:
         if ref is not None:
-            return log_softmax(ref, _scratch(ref, ref_logits), work), ReferenceSource.EXTERNAL
+            logprobs = log_softmax(ref, out=_scratch(ref, ref_logits), work=work)
+            return logprobs, ReferenceSource.EXTERNAL
         if len(self._pool) > 0:
             return self._pool.synthesize(), ReferenceSource.POOL
         return self._pool.synthesize(), ReferenceSource.UNIFORM
@@ -338,7 +345,7 @@ class Controller:
         ref, source = self._reference(*ref_in, work=out)
         if decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
             lam = params.lambda_max
-            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params, out)
+            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params, out=out)
             directive = Directive(
                 logits=out, mode=Mode.AGGRESSIVE, temperature_override=temperature
             )
@@ -346,14 +353,12 @@ class Controller:
             lam = adaptive_scale(
                 entropy, mu, step_type, decision.repair_index, self.config.guidance, params
             )
-            weights = token_weights(
-                ref, normalized_entropy(entropy, self.config.vocab_size), params,
-                np.empty_like(ref), out,
-            )
+            h_norm = normalized_entropy(entropy, self.config.vocab_size)
+            weights = token_weights(ref, h_norm, params, work=out)
             weights *= lam  # the extrapolation factor, scale * weights
-            out = guided_logits(cond_logprobs, ref, weights, out)
+            out = guided_logits(cond_logprobs, ref, weights, out=out)
             directive = Directive(logits=out, mode=Mode.REPAIR)
-        modified_entropy, _ = shannon_entropy(out, cond_logprobs, ref)
+        modified_entropy = shannon_entropy(out, shifted=cond_logprobs, work=ref)
         return directive, lam, source, modified_entropy
 
     def finish(self) -> StreamSummary:

@@ -9,10 +9,10 @@ keeps full relative precision even for sharply peaked distributions, and
 entries whose probability underflows to zero contribute exactly zero to
 the entropy (the p*log p limit convention).
 
-Each computation has one implementation, a private ``_*_into`` kernel that
-writes into the float64 buffers it is given; the public functions allocate
-those buffers and call it, so they are pure and never write into their
-arguments. The controller calls the kernels with buffers its step owns.
+Each computation is one public function. Its float64 buffers are optional
+keyword-only arguments (``out``, ``shifted``, ``work``); a buffer that is not
+given is allocated, and no function writes into its other arguments. The
+controller passes buffers its step owns.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ def _peak_parts(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> float:
     return float(work.sum())
 
 
-def _log_softmax_into(z: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """log_softmax of float64 ``z`` written into ``out`` (which may be ``z``)."""
-    rest = _peak_parts(z, out, work)
-    out -= math.log1p(rest)
-    return out
-
-
 def _entropy_into(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> tuple[float, float]:
     """Entropy of softmax(z) and logsumexp(z) - max(z), using two float64 buffers.
 
@@ -93,16 +86,24 @@ def _entropy_into(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> tuple
     return lse - float(np.dot(work, shifted)) / (1.0 + rest), lse
 
 
-def log_softmax(logits) -> np.ndarray:
-    """Normalized log-probabilities: z[v] - logsumexp(z)."""
+def log_softmax(logits, *, out=None, work=None) -> np.ndarray:
+    """Normalized log-probabilities: z[v] - logsumexp(z).
+
+    Written into ``out`` (which may be the float64 input itself); ``work``
+    is overwritten.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    return _log_softmax_into(z, np.empty_like(z), np.empty_like(z))
+    out = np.empty_like(z) if out is None else out
+    rest = _peak_parts(z, out, np.empty_like(z) if work is None else work)
+    out -= math.log1p(rest)
+    return out
 
 
-def shannon_entropy(logits) -> float:
-    """Entropy of softmax(logits), in nats."""
+def shannon_entropy(logits, *, shifted=None, work=None) -> float:
+    """Entropy of softmax(logits), in nats; both buffers are overwritten."""
     z = np.asarray(logits, dtype=np.float64)
-    return _entropy_into(z, np.empty_like(z), np.empty_like(z))[0]
+    shifted = np.empty_like(z) if shifted is None else shifted
+    return _entropy_into(z, shifted, np.empty_like(z) if work is None else work)[0]
 
 
 def entropy_and_logprobs(logits) -> tuple[float, np.ndarray]:

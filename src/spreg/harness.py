@@ -7,7 +7,8 @@ anchored profile until the requested entropy is met (bisection to 1e-6
 nats), which moves entropy precisely without disturbing which token is
 argmax. Spike overlays raise the target far enough above the generator's
 own running window statistics to be unambiguous to a detector using the
-mirrored configuration. Streams are deterministic given (scenario, seed).
+mirrored configuration. Streams are deterministic given the scenario,
+whose seed (>= 0) drives the generator.
 
 generate() fits each record only when its iterator reaches it, so a host
 can run every step before the next one is made; the ground truth (spike
@@ -105,6 +106,8 @@ class Scenario:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         covered = 0
         for seg in self.segments:
             if isinstance(seg, SpikeInjection):
@@ -243,7 +246,6 @@ def _boost(profile: np.ndarray, anchors) -> np.ndarray:
 
 def generate(
     scenario: Scenario,
-    seed: int | None = None,
     detector: DetectorConfig | None = None,
 ) -> tuple[Iterator[TraceRecord], GroundTruth]:
     """A one-pass iterator over the per-step logit records, and the injected ground truth.
@@ -269,7 +271,7 @@ def generate(
         injected_spike_steps=tuple(s.at_step for s in spikes),
         loop_spans=tuple(loop_spans),
     )
-    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    rng = np.random.default_rng(scenario.seed)
     return _records(scenario.vocab_size, base_segments, spikes, rng, detector), truth
 
 

@@ -29,9 +29,9 @@ Aggressive recovery escalates: guidance at the capped scale, a repetition
 penalty over recently sampled token ids, and a sharp sampling-temperature
 override returned to the host.
 
-Each computation has one implementation, a private ``_*_into`` kernel that
-writes into the float64 buffers it is given; the public functions allocate
-those buffers and call it, and never write into their arguments.
+Each computation is one public function. Its float64 buffers are optional
+keyword-only arguments (``out``, ``work``); a buffer that is not given is
+allocated, and no function writes into its other arguments.
 """
 
 from __future__ import annotations
@@ -42,10 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Bound under the public name, which perfbench/tracing.py wraps in this
-# module to time the pool reference's log_softmax.
-from .distributions import EPSILON
-from .distributions import _log_softmax_into as log_softmax
+from .distributions import EPSILON, log_softmax
 from .errors import ConfigError
 from .plan_tracker import GuidanceTable, StepType
 
@@ -128,7 +125,7 @@ class ReferencePool:
         for row in rows:
             total += row
         total /= len(self._entries)
-        return log_softmax(total, total, np.empty_like(total))
+        return log_softmax(total, out=total)
 
 
 def adaptive_scale_raw(
@@ -166,14 +163,18 @@ def adaptive_scale(
     return min(max(raw, 1.0), params.lambda_max)
 
 
-def _token_weights_into(
-    ref: np.ndarray,
-    normalized_entropy: float,
-    params: RepairParams,
-    out: np.ndarray,
-    work: np.ndarray,
+def token_weights(
+    reference, normalized_entropy: float, params: RepairParams, *, out=None, work=None
 ) -> np.ndarray:
-    """token_weights of float64 ``ref`` written into ``out``; ``work`` is overwritten."""
+    """Per-token guidance weights from the standardized reference vector.
+
+    w(v) = 1 + eta * H_norm * (ref(v) - mean) / (std + EPSILON); the
+    weights average to exactly 1, and a constant reference yields all ones.
+    Written into ``out``; ``work`` is overwritten.
+    """
+    ref = np.asarray(reference, dtype=np.float64)
+    out = np.empty_like(ref) if out is None else out
+    work = np.empty_like(ref) if work is None else work
     np.subtract(ref, ref.mean(), out=out)
     # Second centering pass removes the float residue of the first, which
     # the small (sigma + EPSILON) divisor would otherwise amplify.
@@ -186,38 +187,22 @@ def _token_weights_into(
     return out
 
 
-def token_weights(reference, normalized_entropy: float, params: RepairParams) -> np.ndarray:
-    """Per-token guidance weights from the standardized reference vector.
+def guided_logits(
+    cond_logprobs: np.ndarray, ref_logprobs: np.ndarray, factor, *, out=None
+) -> np.ndarray:
+    """Weighted extrapolation ref + factor * (cond - ref), written into ``out``.
 
-    w(v) = 1 + eta * H_norm * (ref(v) - mean) / (std + EPSILON); the
-    weights average to exactly 1, and a constant reference yields all ones.
+    ``factor`` is the guidance scale, or the scale times the token weights.
+    Both inputs must be finite, normalized log-prob arrays (log_softmax
+    output) of one shape; they are not re-checked or renormalized here.
+    The result is a valid (unnormalized) logit vector for the host sampler.
+    A factor of 1 reproduces the conditional; 0 reproduces the reference.
     """
-    ref = np.asarray(reference, dtype=np.float64)
-    out, work = np.empty_like(ref), np.empty_like(ref)
-    return _token_weights_into(ref, normalized_entropy, params, out, work)
-
-
-def _guided_into(cond_logprobs, ref_logprobs, factor, out: np.ndarray) -> np.ndarray:
-    """ref + factor * (cond - ref) written into ``out``, where factor = scale * weights."""
+    out = np.empty(np.shape(cond_logprobs)) if out is None else out
     np.subtract(cond_logprobs, ref_logprobs, out=out)
     out *= factor
     out += ref_logprobs
     return out
-
-
-def guided_logits(
-    cond_logprobs: np.ndarray, ref_logprobs: np.ndarray, scale: float, weights=1.0
-) -> np.ndarray:
-    """Weighted extrapolation between conditional and reference.
-
-    Both inputs must be finite, normalized log-prob arrays (log_softmax
-    output) of one shape; they are not re-checked or renormalized here.
-    The result is a valid (unnormalized) logit vector for the host sampler.
-    scale=1 with unit weights reproduces the conditional; scale=0
-    reproduces the reference.
-    """
-    out = np.empty(np.shape(cond_logprobs))
-    return _guided_into(cond_logprobs, ref_logprobs, scale * weights, out)
 
 
 def _penalize(z: np.ndarray, recent_ids, rho: float) -> np.ndarray:
@@ -241,25 +226,19 @@ def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
     return _penalize(np.array(logits, dtype=np.float64), recent_ids, rho)
 
 
-def _aggressive_into(
-    cond_logprobs, ref_logprobs, recent_ids, params: RepairParams, out: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """aggressive_recover with its logits written into ``out``."""
-    _guided_into(cond_logprobs, ref_logprobs, params.lambda_max, out)
-    return _penalize(out, recent_ids, params.rho), params.t_recover
-
-
 def aggressive_recover(
     cond_logprobs,
     ref_logprobs,
     recent_ids,
     params: RepairParams,
+    *,
+    out=None,
 ) -> tuple[np.ndarray, float]:
     """Escalated intervention for persistent high-entropy states.
 
     Applies guidance at the full lambda_max, penalizes the recent token
     set to break loops, and returns the sharp sampling temperature the
-    host should use for this step.
+    host should use for this step. The logits are written into ``out``.
     """
-    out = np.empty(np.shape(cond_logprobs))
-    return _aggressive_into(cond_logprobs, ref_logprobs, recent_ids, params, out)
+    out = guided_logits(cond_logprobs, ref_logprobs, params.lambda_max, out=out)
+    return _penalize(out, recent_ids, params.rho), params.t_recover

@@ -178,6 +178,12 @@ class TestCli:
         assert main(["run", "--scenario", "missing-thing"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["run", "--scenario", "stable", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "spreg: config error: seed must be >= 0, got -1\n"
+
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -218,7 +218,7 @@ class TestRepairPath:
                 weights = token_weights(
                     log_softmax(ref), normalized_entropy(event.entropy, VOCAB), config.repair
                 )
-                expected = guided_logits(log_softmax(z), log_softmax(ref), lam, weights)
+                expected = guided_logits(log_softmax(z), log_softmax(ref), lam * weights)
                 assert directive.logits == pytest.approx(expected, abs=0)
 
     def test_uniform_spike_is_repaired_at_vocab_14(self):
@@ -648,7 +648,7 @@ class TestStepNumerics:
                 else:
                     h_norm = normalized_entropy(event.entropy, PROP_VOCAB)
                     weights = token_weights(ref, h_norm, params)
-                    expected = guided_logits(cond, ref, event.lambda_applied, weights)
+                    expected = guided_logits(cond, ref, event.lambda_applied * weights)
                 assert directive.logits == pytest.approx(expected, abs=0)
                 assert event.modified_entropy == shannon_entropy(expected)
         assert kinds == EVERY_KIND

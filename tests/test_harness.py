@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,7 @@ class TestScenarioValidation:
             {"vocab_size": "16"},
             {"length": 5.0},
             {"seed": True},
+            {"seed": -1},
             {"segments": [{"kind": "stable", "steps": 5, "target_entropy": "1.2"}]},
             {"segments": [{"kind": "stable", "steps": 5.5, "target_entropy": 1.2}]},
             {"segments": [{"kind": "stable", "steps": 5, "target_entropy": float("nan")}]},
@@ -163,7 +165,7 @@ class TestGenerator:
     def test_seed_override_changes_stream(self):
         sc = stable_scenario()
         a, _ = generate(sc)
-        b, _ = generate(sc, seed=99)
+        b, _ = generate(replace(sc, seed=99))
         assert any(not np.array_equal(ra.logits, rb.logits) for ra, rb in zip(a, b))
 
     def test_stable_entropies_within_jitter(self):

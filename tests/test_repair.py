@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import spreg.controller
+import spreg.distributions
+import spreg.repair
 from spreg.distributions import log_softmax, shannon_entropy
 from spreg.errors import ConfigError
 from spreg.plan_tracker import GuidanceTable, StepType
@@ -252,14 +257,44 @@ class TestRepetitionPenalty:
 def test_public_forms_leave_their_arguments_unchanged(z, h):
     cond, ref = log_softmax(z), log_softmax(z[::-1])
     weights = token_weights(ref, h, PARAMS)
-    args = [z, cond, ref, weights]
+    factor = 2.0 * weights
+    args = [z, cond, ref, weights, factor]
     before = [a.tobytes() for a in args]
-    log_softmax(z)
-    shannon_entropy(z)
-    guided_logits(cond, ref, 2.0, weights)
+
+    def bits(x) -> bytes:
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    # Each function, with and without explicit buffers, gives the same bits.
+    out, work = np.empty_like(z), np.empty_like(z)
+    assert log_softmax(z, out=out, work=work) is out
+    assert bits(out) == bits(log_softmax(z))
+    in_place = z.copy()
+    assert bits(log_softmax(in_place, out=in_place)) == bits(out)
+    assert bits(shannon_entropy(z, shifted=out, work=work)) == bits(shannon_entropy(z))
+    assert token_weights(ref, h, PARAMS, out=out, work=work) is out
+    assert bits(out) == bits(weights)
+    assert guided_logits(cond, ref, factor, out=out) is out
+    assert bits(out) == bits(guided_logits(cond, ref, factor))
     repetition_penalty(cond, {0, 1}, PARAMS.rho)
-    aggressive_recover(cond, ref, {0, 1}, PARAMS)
+    penalized, temperature = aggressive_recover(cond, ref, {0, 1}, PARAMS, out=out)
+    assert penalized is out and temperature == PARAMS.t_recover
+    assert bits(out) == bits(aggressive_recover(cond, ref, {0, 1}, PARAMS)[0])
+    # The old call with weights as a fourth argument would write into them.
+    with pytest.raises(TypeError):
+        guided_logits(cond, ref, 2.0, weights)
     assert [a.tobytes() for a in args] == before
+
+
+def test_math_functions_are_bound_under_their_own_names():
+    # A module must not import one function under another's name: the
+    # names then take different arguments in different modules.
+    assert spreg.controller.guided_logits is spreg.repair.guided_logits
+    assert spreg.repair.log_softmax is spreg.distributions.log_softmax
+    for module in (spreg.controller, spreg.repair):
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__.startswith("spreg."):
+                assert obj.__name__ == name, (module.__name__, name)
+                assert getattr(sys.modules[obj.__module__], name) is obj
 
 
 class TestAggressiveRecover:
