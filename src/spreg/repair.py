@@ -164,16 +164,16 @@ def adaptive_scale(
 
 
 def token_weights(
-    reference, normalized_entropy: float, params: RepairParams, *, out=None, work=None
+    reference, normalized_entropy: float, params: RepairParams, *, work=None
 ) -> np.ndarray:
     """Per-token guidance weights from the standardized reference vector.
 
     w(v) = 1 + eta * H_norm * (ref(v) - mean) / (std + EPSILON); the
     weights average to exactly 1, and a constant reference yields all ones.
-    Written into ``out``; ``work`` is overwritten.
+    The result is a new array; ``work`` is overwritten.
     """
     ref = np.asarray(reference, dtype=np.float64)
-    out = np.empty_like(ref) if out is None else out
+    out = np.empty_like(ref)
     work = np.empty_like(ref) if work is None else work
     np.subtract(ref, ref.mean(), out=out)
     # Second centering pass removes the float residue of the first, which

@@ -184,6 +184,15 @@ class TestCli:
         assert out == ""
         assert err == "spreg: config error: seed must be >= 0, got -1\n"
 
+    def test_seed_option_changes_the_stream(self, tmp_path, capsys):
+        traces = []
+        for seed in ("1", "2"):
+            trace = tmp_path / f"seed{seed}.jsonl"
+            assert main(["run", "--scenario", "stable", "--seed", seed, "--trace", str(trace)]) == 0
+            traces.append(trace.read_bytes())
+        capsys.readouterr()
+        assert traces[0] != traces[1]
+
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
