@@ -45,9 +45,14 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     Raises ValueError for wrong dimensionality, fewer than two vocabulary
     entries, a vocab_size mismatch, non-finite entries, or a range
     (max - min) above MAX_LOGIT_RANGE. A float64 array is returned as is,
-    not copied.
+    not copied; an array of any other dtype is copied.
+
+    A float array is checked as given and widened only once it passes, so
+    a rejected float32 vector is never copied; widening is exact, so the
+    check sees the same values.
     """
-    z = np.asarray(values, dtype=np.float64)
+    is_float = isinstance(values, np.ndarray) and values.dtype.kind == "f"
+    z = values if is_float else np.asarray(values, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError(f"logits must be 1-D, got shape {z.shape}")
     if z.size < 2:
@@ -57,7 +62,7 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     # NaN, +-inf and an overflowing range all fail this comparison.
     if not float(z.max()) - float(z.min()) <= MAX_LOGIT_RANGE:
         raise ValueError(f"logits must be finite, with a range of at most {MAX_LOGIT_RANGE:g}")
-    return z
+    return np.asarray(z, dtype=np.float64)
 
 
 def _peak_parts(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> float:

@@ -22,8 +22,9 @@ caps ``lambda_max``, ``eta`` and ``rho`` at ``MAX_GAIN`` (1e60). The
 log-probs then lie within about 1e100 of 0, a weight's size is at most
 1 + eta * sqrt(|V|), and every guided or penalized logit stays below about
 1e230 in size, so the directive and its modified entropy are finite for
-any vocabulary that fits in memory. A rejected step leaves the stream as
-it was, and the host may retry the same t.
+any vocabulary that fits in memory; they can still exceed float32's
+range, so the wire saturates them there (``trace_io``). A rejected step
+leaves the stream as it was, and the host may retry the same t.
 
 Aggressive recovery escalates: guidance at the capped scale, a repetition
 penalty over recently sampled token ids, and a sharp sampling-temperature

@@ -2,10 +2,13 @@
 
 Traces and wire frames are line-delimited JSON, UTF-8, one object per
 line. Logit arrays travel as 32-bit floats (what inference stacks emit)
-and are widened to float64 on ingest; writing renders the exact f32
-values so a read/write round trip is bit-identical. Directives for
-unintervened steps omit the logits array entirely, so a passthrough step
-costs O(1) bandwidth and the host reuses its own buffer.
+and are widened to float64 on ingest. spreg writes each logit with at
+most 9 significant digits, which identify every float32, so reading it
+back as float32 recovers it bit for bit and a read/write round trip is
+bit-identical. Directive logits beyond float32's range are saturated to
+its largest finite value, so no response carries an infinity. Directives
+for unintervened steps omit the logits array entirely, so a passthrough
+step costs O(1) bandwidth and the host reuses its own buffer.
 
 Reading a trace line or a wire frame only parses it: ``Controller.process_step``
 validates every step, in-process, on the wire and from a file. ``replay_stream``
@@ -70,15 +73,22 @@ class TraceRecord:
                 ref = np.asarray(self.ref_logits, dtype=np.float32)
                 object.__setattr__(self, "ref_logits", ref)
 
-    def to_dict(self) -> dict:
-        d: dict = {"t": self.t, "logits": self.logits.tolist()}
+    def _fields(self) -> dict:
+        """The record's fields in wire order, leaving out absent extras."""
+        d: dict = {"t": self.t, "logits": self.logits}
         if self.ref_logits is not None:
-            d["ref_logits"] = self.ref_logits.tolist()
+            d["ref_logits"] = self.ref_logits
         if self.token_id is not None:
             d["token_id"] = self.token_id
         if self.token_text is not None:
             d["token_text"] = self.token_text
         return d
+
+    def to_dict(self) -> dict:
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self._fields().items()}
+
+    def to_json(self) -> str:
+        return _json_object(self._fields())
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceRecord":
@@ -145,7 +155,7 @@ def trace_lines(
     """Yield (line number, record) per record, first writing it to ``fh`` if one is given."""
     for lineno, rec in enumerate(records, start=1):
         if fh is not None:
-            fh.write(json.dumps(rec.to_dict(), separators=(",", ":")))
+            fh.write(rec.to_json())
             fh.write("\n")
         yield lineno, rec
 
@@ -235,13 +245,47 @@ def _feed(controller: Controller, rec: TraceRecord) -> tuple[Directive, EventRec
     )
 
 
+# -- JSON writing -----------------------------------------------------------------
+
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _f32_json(values: np.ndarray) -> str:
+    """A float32 array as a JSON number list, rendered in one ``%`` pass.
+
+    ``%.9g`` writes at most 9 significant digits, enough to identify every
+    float32, so ``json.loads`` and a float32 cast give back each value bit
+    for bit. It writes -0.0 as ``-0``, which JSON reads as the integer 0,
+    so those entries are written as ``-0.0``. NaN and infinity have no JSON
+    form and raise ValueError.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("only finite logits can be written as JSON")
+    spec = ["%.9g"] * values.size
+    for i in np.flatnonzero((values == 0) & np.signbit(values)):
+        spec[i] = "%.1f"
+    return ("[" + ",".join(spec) + "]") % tuple(values.tolist())
+
+
+def _json_value(value) -> str:
+    if isinstance(value, np.ndarray):
+        return _f32_json(value)
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _json_object(fields: dict) -> str:
+    """``fields`` as one compact JSON object; each ndarray goes through ``_f32_json``."""
+    return "{" + ",".join(f"{json.dumps(k)}:{_json_value(v)}" for k, v in fields.items()) + "}"
+
+
 # -- stdio wire protocol --------------------------------------------------------
 
 
 def _directive_payload(t: int, directive: Directive, event: EventRecord) -> dict:
     payload: dict = {"kind": "directive", "t": t, "intervened": directive.intervened}
     if directive.intervened:
-        payload["logits"] = directive.logits.astype(np.float32).tolist()
+        # Saturated to float32's range, so the cast cannot overflow to infinity.
+        payload["logits"] = np.clip(directive.logits, -_F32_MAX, _F32_MAX).astype(np.float32)
         if directive.temperature_override is not None:
             payload["temperature"] = directive.temperature_override
     payload["event"] = event.to_dict()
@@ -321,7 +365,7 @@ def serve_stdio(
             response = _error("bad_frame", str(exc))
         else:
             response = session.handle(msg)
-        stdout.write(json.dumps(response, separators=(",", ":")) + "\n")
+        stdout.write(_json_object(response) + "\n")
         stdout.flush()
         if response.get("kind") == "summary":
             break

@@ -49,6 +49,35 @@ def test_as_logits_rejects_bad_input():
     assert as_logits([5e99, -5e99]).dtype == np.float64
 
 
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_as_logits_checks_narrow_floats_as_given(dtype):
+    for bad in ([1.0, np.nan], [1.0, np.inf], [-np.inf, 1.0], [np.inf, -np.inf]):
+        z = np.array(bad, dtype=dtype)
+        with pytest.raises(ValueError) as narrow:
+            as_logits(z)
+        with pytest.raises(ValueError) as wide:
+            as_logits(z.astype(np.float64))
+        assert str(narrow.value) == str(wide.value)
+    # No float16 or float32 spread exceeds MAX_LOGIT_RANGE, and one that
+    # overflows the input's own dtype is still accepted: the range is taken
+    # in float64.
+    top = np.finfo(dtype).max
+    rng = np.random.default_rng(0)
+    for z in (
+        np.array([top, -top, 0.0], dtype=dtype),
+        np.array([-0.0, np.finfo(dtype).smallest_subnormal], dtype=dtype),
+        rng.standard_normal(1000).astype(dtype),
+    ):
+        out = as_logits(z, vocab_size=z.size)
+        assert out.dtype == np.float64 and out is not z
+        assert np.array_equal(out.view(np.uint64), np.asarray(z, dtype=np.float64).view(np.uint64))
+
+
+def test_as_logits_returns_a_float64_array_uncopied():
+    z = np.array([1.0, -2.0, 0.5])
+    assert as_logits(z) is z
+
+
 @given(finite_logits)
 @settings(max_examples=200)
 def test_log_softmax_idempotent(z):

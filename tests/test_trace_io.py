@@ -15,6 +15,7 @@ from spreg.errors import TraceFormatError
 from spreg.harness import Scenario, StableRegime, SpikeInjection, generate
 from spreg.trace_io import (
     TraceRecord,
+    _f32_json,
     export_csv,
     read_events,
     replay_trace,
@@ -80,6 +81,54 @@ class TestTraceRoundTrip:
         [rec] = read_trace(path)
         assert rec.t == -1 and rec.token_text == 5 and rec.logits.dtype == np.float32
         assert np.isnan(rec.logits[0]) and rec.ref_logits.shape == (1,)
+
+
+F32_MAX_BITS = int(np.array(np.finfo(np.float32).max).view(np.uint32))
+# float32 bit patterns that are neither NaN nor infinite.
+finite_f32_bits = st.integers(0, 2**32 - 1).filter(lambda b: b & 0x7F800000 != 0x7F800000)
+F32_EDGE_BITS = [
+    0x80000000,  # -0.0
+    0x00000000,
+    0x00000001,  # the smallest subnormal
+    0x80000001,
+    F32_MAX_BITS,
+    F32_MAX_BITS | 0x80000000,
+] + [
+    # Integers written without an exponent, then values 8 digits cannot identify.
+    int(np.array(v, np.float32).view(np.uint32))
+    for v in (1e8, 123456789, 999999936, -5e8, -120.805145, 106875.805, 1.03491494e-26)
+]
+
+
+def significant_digits(number: str) -> int:
+    mantissa = number.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0")) or 1
+
+
+class TestF32Codec:
+    """``_f32_json`` writes text that strict JSON reads back to the same float32 bits."""
+
+    @staticmethod
+    def check_round_trip(bits: list[int]):
+        values = np.array(bits, dtype=np.uint32).view(np.float32)
+        text = _f32_json(values)
+        assert all(significant_digits(number) <= 9 for number in text[1:-1].split(","))
+        back = np.asarray(parse_response(text), dtype=np.float32)
+        assert np.array_equal(back.view(np.uint32), values.view(np.uint32))
+
+    def test_edge_values(self):
+        self.check_round_trip(F32_EDGE_BITS)
+        assert _f32_json(np.array([-0.0, 0.0], np.float32)) == "[-0.0,0]"
+
+    @given(st.lists(finite_f32_bits, min_size=1, max_size=40))
+    @settings(max_examples=500)
+    def test_any_finite_float32_round_trips(self, bits):
+        self.check_round_trip(bits)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _f32_json(np.array([0.0, bad], np.float32))
 
 
 # Each turns line 5 (step 4) of a valid trace into a step the controller rejects.
@@ -411,6 +460,28 @@ class TestWireProtocol:
         assert wire_events == [e.to_dict() for e in events]
         assert responses[-1]["spikes"] == summary.spikes
 
+    def test_directive_logits_beyond_float32_saturate(self):
+        # A spike at t=6 after six one-hot steps: the guided
+        # extrapolation pushes the four unlikely tokens below -3.4e38.
+        big = 3e38
+        sharp, spike = [big] + [-big] * 7, [big] * 4 + [-big] * 4
+        config = {"detector": {"h_min": 0.5, "g_min": 0.1, "t_warm": 3, "t_cool": 4}}
+        records = [TraceRecord(t=t, logits=spike if t == 6 else sharp) for t in range(8)]
+        requests = [{"kind": "init", "vocab_size": 8, "config": config}]
+        requests += [{"kind": "step", "record": r.to_dict()} for r in records]
+        requests.append({"kind": "finish"})
+        responses = run_wire(requests)  # strict JSON: no Infinity
+
+        directives, _, _ = replay_records(config_from_dict(config, vocab_size=8), records)
+        assert [r["intervened"] for r in responses[1:-1]] == [d.intervened for d in directives]
+        expected = directives[6].logits
+        assert directives[6].intervened and np.all(np.isfinite(expected))
+        assert np.all(expected[4:] < -np.finfo(np.float32).max)
+        logits = np.asarray(responses[7]["logits"], dtype=np.float32)
+        assert np.array_equal(logits[4:], np.full(4, -np.finfo(np.float32).max, np.float32))
+        assert np.array_equal(logits[:4], expected[:4].astype(np.float32))
+        assert responses[-1]["kind"] == "summary"
+
 
 # -- wire fault injection --------------------------------------------------------
 
@@ -531,6 +602,8 @@ class TestWireFaultInjection:
             assert response["event"] == event.to_dict()
             assert response["intervened"] == directive.intervened
             if directive.intervened:
-                assert response["logits"] == directive.logits.astype(np.float32).tolist()
+                logits = np.asarray(response["logits"], dtype=np.float32)
+                expected = directive.logits.astype(np.float32)
+                assert np.array_equal(logits.view(np.uint32), expected.view(np.uint32))
                 assert response.get("temperature") == directive.temperature_override
         assert good[-1] == {"kind": "summary", **asdict(summary)}
