@@ -5,11 +5,10 @@
 ``ControllerConfig``. A dict it accepts builds a Controller that runs;
 anything else raises ``ConfigError`` naming the bad key or value:
 
-- an unknown key is an error;
+- each section is read by ``errors.read_fields``, which states the type
+  rule: an unknown key is an error, an integer field takes only an int no
+  larger than ``sys.maxsize`` and a real-valued field a finite number;
 - the config, each section and each guidance table must be an object;
-- an integer field takes only an int (not a bool, not 2.5) no larger than
-  ``sys.maxsize``, the largest bound a deque or list takes;
-- a real-valued field takes only a finite int or float;
 - inline patterns are checked as ``PatternSet`` checks a pattern file.
 
 Apart from that bound the gate checks types and finiteness, not size.
@@ -21,14 +20,11 @@ directory), or an inline pattern object.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 from .controller import ControllerConfig
 from .detector import DetectorConfig
-from .errors import ConfigError, checked_float, checked_int, read_json, reject_unknown
+from .errors import ConfigError, checked_float, read_fields, read_json, reject_unknown
 from .plan_tracker import GuidanceTable, PatternSet, StepType
 from .repair import RepairParams
 
@@ -38,67 +34,53 @@ __all__ = ["config_from_dict", "load_config_dict"]
 def _object(value, what: str) -> dict:
     """``value`` without its ``doc`` entry; it must be a JSON object."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be an object, got {type(value).__name__}")
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
     return {k: v for k, v in value.items() if k != "doc"}
 
 
-def _number(value, kind: type, what: str):
-    """An int up to ``sys.maxsize`` for an ``int`` field, a finite float for a ``float`` field."""
-    try:
-        number = (checked_int if kind is int else checked_float)(value, what)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if kind is int and number > sys.maxsize:
-        raise ConfigError(f"{what} must be at most {sys.maxsize}, got {number}")
-    return number
-
-
-def _dataclass_section(cls, d: dict, name: str):
-    body = _object(d.get(name, {}), f"config section {name!r}")
-    kinds = get_type_hints(cls)
-    reject_unknown(body, kinds, name)
-    return cls(**{k: _number(v, kinds[k], f"{name}.{k}") for k, v in body.items()})
+def _section(d: dict, name: str) -> dict:
+    return _object(d.get(name, {}), f"config section {name!r}")
 
 
 def _guidance(d: dict) -> GuidanceTable:
-    body = _object(d.get("guidance", {}), "config section 'guidance'")
+    body = _section(d, "guidance")
     reject_unknown(body, ["lambda_base"], "guidance")
     table = dict(GuidanceTable().lambda_base)
     for key, value in _object(body.get("lambda_base", {}), "guidance.lambda_base").items():
         try:
             step = StepType(key)
         except ValueError:
-            raise ConfigError(f"unknown guidance.lambda_base step type {key!r}") from None
-        table[step] = _number(value, float, f"guidance.lambda_base.{key}")
+            raise ValueError(f"unknown guidance.lambda_base step type {key!r}") from None
+        table[step] = checked_float(value, f"guidance.lambda_base.{key}")
     return GuidanceTable(lambda_base=table)
 
 
 def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig:
     """Build a ControllerConfig; ``vocab_size`` overrides the dict's own."""
-    d = _object(d, "config")
-    reject_unknown(d, [f.name for f in fields(ControllerConfig)], "config")
-    if vocab_size is not None:
-        d["vocab_size"] = vocab_size
-    if "vocab_size" not in d:
-        raise ConfigError("config requires vocab_size")
-
-    patterns_spec = d.get("patterns")
-    if patterns_spec is None:
-        patterns = None
-    elif isinstance(patterns_spec, str):
-        patterns = PatternSet.from_file(patterns_spec)
-    elif isinstance(patterns_spec, dict):
-        patterns = PatternSet(patterns_spec)
-    else:
-        raise ConfigError("patterns must be null, a path, or an inline object")
-
-    return ControllerConfig(
-        vocab_size=_number(d["vocab_size"], int, "vocab_size"),
-        detector=_dataclass_section(DetectorConfig, d, "detector"),
-        repair=_dataclass_section(RepairParams, d, "repair"),
-        guidance=_guidance(d),
-        patterns=patterns,
-    )
+    try:
+        d = _object(d, "config")
+        if vocab_size is not None:
+            d["vocab_size"] = vocab_size
+        patterns_spec = d.get("patterns")
+        if patterns_spec is None:
+            patterns = None
+        elif isinstance(patterns_spec, str):
+            patterns = PatternSet.from_file(patterns_spec)
+        elif isinstance(patterns_spec, dict):
+            patterns = PatternSet(patterns_spec)
+        else:
+            raise ValueError("patterns must be null, a path, or an inline object")
+        return read_fields(
+            ControllerConfig,
+            d,
+            "config",
+            detector=read_fields(DetectorConfig, _section(d, "detector"), "detector"),
+            repair=read_fields(RepairParams, _section(d, "repair"), "repair"),
+            guidance=_guidance(d),
+            patterns=patterns,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config_dict(path: str | Path | None) -> dict:

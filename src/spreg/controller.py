@@ -48,7 +48,7 @@ from .distributions import (
     normalized_entropy,
     shannon_entropy,
 )
-from .errors import ConfigError, ProtocolError, checked_float, checked_int
+from .errors import ConfigError, ProtocolError, checked_int, read_fields
 from .monitor import EntropyWindow, entropy_gradient
 from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
 from .repair import (
@@ -137,27 +137,7 @@ class EventRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "EventRecord":
         """Parse an event-file row; each field must have its exact JSON type."""
-
-        def optional(check, key: str):
-            return None if d[key] is None else check(d[key], key)
-
-        if not isinstance(d["spike"], bool):
-            raise ValueError(f"spike must be a boolean, got {d['spike']!r}")
-        return cls(
-            t=checked_int(d["t"], "t"),
-            entropy=checked_float(d["entropy"], "entropy"),
-            mu=optional(checked_float, "mu"),
-            sigma=optional(checked_float, "sigma"),
-            gradient=optional(checked_float, "gradient"),
-            phase=Phase(d["phase"]),
-            step_type=StepType(d["step_type"]),
-            spike=d["spike"],
-            lambda_applied=optional(checked_float, "lambda_applied"),
-            repair_index=optional(checked_int, "repair_index"),
-            reference_source=ReferenceSource(d["reference_source"]),
-            mode=Mode(d["mode"]),
-            modified_entropy=optional(checked_float, "modified_entropy"),
-        )
+        return read_fields(cls, d, "event")
 
 
 @dataclass(frozen=True)

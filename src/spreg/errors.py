@@ -5,15 +5,21 @@ conditions that callers (and the CLI exit-code mapping) need to tell
 apart. ``checked_int`` and ``checked_float`` are the one definition of an
 integer and a real number for configs, scenarios, trace and wire frames,
 event files, and the step index and sampled token of a stream.
-``read_json`` is the one reader of a config, scenario or pattern file;
-``reject_unknown`` rejects the keys a config or scenario does not define.
+``read_json`` is the one reader of a config, scenario or pattern file.
+``read_fields`` is the one way from a JSON object to a dataclass: config
+sections, scenarios and their segments, and event-file rows. Each field's
+JSON type is its type hint, so it is written once, in the dataclass.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import sys
+from dataclasses import MISSING, fields
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 
 class SpregError(Exception):
@@ -68,7 +74,64 @@ def read_json(source, what: str):
 
 
 def reject_unknown(body: dict, known, what: str) -> None:
-    """Raise ConfigError naming every key of ``body`` not in ``known``."""
+    """Raise ValueError naming every key of ``body`` not in ``known``."""
     unknown = set(body) - set(known)
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+
+
+_type_hints = functools.cache(get_type_hints)
+
+
+def read_fields(cls, body, what: str, **given):
+    """Build the dataclass ``cls`` from the JSON object ``body``, or raise ValueError.
+
+    Each key is read by its field's type hint: an ``int`` takes only an
+    integer (not a bool, not 2.5) no larger than ``sys.maxsize``, the
+    largest bound a deque or list takes; a ``float`` only a finite number;
+    a ``bool`` only true or false; an ``Enum`` one of its values;
+    ``X | None`` null or an ``X``; ``tuple[X, ...]`` a list of ``X``. A
+    missing key takes the field's default, and a key ``cls`` does not
+    define is an error. The fields in ``given`` are taken as they are
+    (the caller has already read them) and not from ``body``.
+    """
+    if not isinstance(body, dict):
+        raise ValueError(f"{what} must be an object, got {type(body).__name__}")
+    kinds = _type_hints(cls)
+    reject_unknown(body, kinds, what)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in body and f.name not in given:
+            values[f.name] = _read(body[f.name], kinds[f.name], f"{what}.{f.name}")
+        elif f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} requires {f.name}")
+    return cls(**values)
+
+
+def _read(value, kind, what: str):
+    """``value`` as the type hint ``kind``; ``read_fields`` states the rules."""
+    if kind is int:
+        number = checked_int(value, what)
+        if number > sys.maxsize:
+            raise ValueError(f"{what} must be at most {sys.maxsize}, got {number}")
+        return number
+    if kind is float:
+        return checked_float(value, what)
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            raise ValueError(f"{what} must be one of {choices}, got {value!r}") from None
+    args = get_args(kind)
+    if type(None) in args:
+        return None if value is None else _read(value, args[0], what)
+    if get_origin(kind) is tuple:
+        if isinstance(value, list):
+            return tuple(_read(item, args[0], what) for item in value)
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    raise TypeError(f"{what} has no JSON reading for {kind!r}")

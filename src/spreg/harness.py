@@ -23,7 +23,7 @@ step tolerance, reporting detection precision and recall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
@@ -33,7 +33,7 @@ import numpy as np
 from .controller import EventRecord
 from .detector import DetectorConfig
 from .distributions import shannon_entropy
-from .errors import ConfigError, checked_float, checked_int, read_json, reject_unknown
+from .errors import ConfigError, read_fields, read_json
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
 
@@ -98,7 +98,7 @@ class SpikeInjection:
 class Scenario:
     vocab_size: int
     length: int
-    seed: int
+    seed: int = 0
     segments: tuple = ()
 
     def __post_init__(self):
@@ -148,13 +148,8 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         try:
             segments = tuple(_segment_from_dict(s) for s in d.get("segments", []))
-            return cls(
-                vocab_size=checked_int(d["vocab_size"], "vocab_size"),
-                length=checked_int(d["length"], "length"),
-                seed=checked_int(d.get("seed", 0), "seed"),
-                segments=segments,
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            return read_fields(cls, d, "scenario", segments=segments)
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
 
     @classmethod
@@ -183,35 +178,8 @@ def _segment_from_dict(d: dict):
     kind = d.get("kind")
     if kind not in _SEGMENT_KINDS:
         raise ConfigError(f"unknown segment kind {kind!r}")
-    known = ["kind", *(f.name for f in fields(_SEGMENT_KINDS[kind]))]
-    reject_unknown(d, known, f"{kind} segment")
-    if kind == "stable":
-        return StableRegime(
-            steps=checked_int(d["steps"], "steps"),
-            target_entropy=checked_float(d["target_entropy"], "target_entropy"),
-            jitter=checked_float(d.get("jitter", 0.0), "jitter"),
-            anchors=tuple(checked_int(a, "anchors") for a in d.get("anchors", [])),
-        )
-    if kind == "drift":
-        start = d.get("start_entropy")
-        return DriftRegime(
-            steps=checked_int(d["steps"], "steps"),
-            slope=checked_float(d["slope"], "slope"),
-            start_entropy=None if start is None else checked_float(start, "start_entropy"),
-            anchors=tuple(checked_int(a, "anchors") for a in d.get("anchors", [])),
-        )
-    if kind == "loop":
-        return LoopRegime(
-            steps=checked_int(d["steps"], "steps"),
-            tokens=tuple(checked_int(tok, "tokens") for tok in d["tokens"]),
-            start_entropy=checked_float(d["start_entropy"], "start_entropy"),
-            slope=checked_float(d.get("slope", 0.0), "slope"),
-        )
-    return SpikeInjection(
-        at_step=checked_int(d["at_step"], "at_step"),
-        magnitude=checked_float(d["magnitude"], "magnitude"),
-        width=checked_int(d.get("width", 1), "width"),
-    )
+    body = {k: v for k, v in d.items() if k != "kind"}
+    return read_fields(_SEGMENT_KINDS[kind], body, f"{kind} segment")
 
 
 @dataclass(frozen=True)

@@ -206,25 +206,24 @@ def guided_logits(
     return out
 
 
-def _penalize(z: np.ndarray, recent_ids, rho: float) -> np.ndarray:
-    """repetition_penalty applied to float64 ``z`` in place."""
-    ids = [i for i in set(recent_ids) if 0 <= i < z.size]
-    if not ids:
-        return z
-    idx = np.fromiter(ids, dtype=np.intp)
-    vals = z[idx]
-    z[idx] = np.where(vals > 0, vals / rho, np.where(vals < 0, vals * rho, vals))
-    return z
-
-
-def repetition_penalty(logits, recent_ids, rho: float) -> np.ndarray:
+def repetition_penalty(logits, recent_ids, rho: float, *, out=None) -> np.ndarray:
     """Push recently generated tokens away from re-selection.
 
     Positive logits of recent tokens are divided by rho, negative ones
     multiplied; zeros and tokens outside the recent set are untouched, so
-    signs are always preserved.
+    signs are always preserved. The result is written into the float64
+    ``out``, which may be ``logits`` itself.
     """
-    return _penalize(np.array(logits, dtype=np.float64), recent_ids, rho)
+    if out is None:
+        out = np.array(logits, dtype=np.float64)
+    elif out is not logits:
+        np.copyto(out, logits)
+    ids = [i for i in set(recent_ids) if 0 <= i < out.size]
+    if ids:
+        idx = np.fromiter(ids, dtype=np.intp)
+        vals = out[idx]
+        out[idx] = np.where(vals > 0, vals / rho, np.where(vals < 0, vals * rho, vals))
+    return out
 
 
 def aggressive_recover(
@@ -242,4 +241,4 @@ def aggressive_recover(
     host should use for this step. The logits are written into ``out``.
     """
     out = guided_logits(cond_logprobs, ref_logprobs, params.lambda_max, out=out)
-    return _penalize(out, recent_ids, params.rho), params.t_recover
+    return repetition_penalty(out, recent_ids, params.rho, out=out), params.t_recover

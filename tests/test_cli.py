@@ -1,7 +1,10 @@
+import io
 import json
+import sys
 import tracemalloc
 from dataclasses import fields
 from importlib import resources
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -9,10 +12,18 @@ from spreg.cli import main
 from spreg.config import config_from_dict, load_config_dict
 from spreg.controller import ControllerConfig, EventRecord
 from spreg.detector import DetectorConfig
-from spreg.errors import ConfigError
-from spreg.harness import BUILTIN_SCENARIOS
+from spreg.errors import ConfigError, TraceFormatError
+from spreg.harness import (
+    BUILTIN_SCENARIOS,
+    DriftRegime,
+    LoopRegime,
+    Scenario,
+    SpikeInjection,
+    StableRegime,
+)
 from spreg.plan_tracker import GuidanceTable, StepType
 from spreg.repair import RepairParams
+from spreg.trace_io import read_events
 
 
 # A valid event-file row; the malformed rows each change one field.
@@ -112,6 +123,67 @@ class TestConfigLoading:
         # The file's values are the dataclass defaults.
         loaded = config_from_dict(load_config_dict(packaged_default_path()))
         assert loaded == ControllerConfig(vocab_size=64)
+
+
+# A valid JSON object for each segment kind.
+SEGMENT_ROWS = {
+    StableRegime: {"kind": "stable", "steps": 4, "target_entropy": 1.2},
+    DriftRegime: {"kind": "drift", "steps": 4, "slope": 0.1, "start_entropy": 1.2},
+    LoopRegime: {"kind": "loop", "steps": 4, "tokens": [1, 2], "start_entropy": 1.2},
+    SpikeInjection: {"kind": "spike", "at_step": 1, "magnitude": 2.0},
+}
+
+
+def parse_segment(row: dict):
+    base = [SEGMENT_ROWS[StableRegime]] if row["kind"] == "spike" else []
+    return Scenario.from_dict({"vocab_size": 16, "length": 4, "segments": [*base, row]})
+
+
+def parse_config_section(section: str):
+    return lambda row: config_from_dict({"vocab_size": 8, section: row})
+
+
+def parse_event(row: dict):
+    return read_events(io.StringIO(json.dumps(row)))
+
+
+# Per dataclass read from JSON: a valid object, its gate, and the gate's error.
+GATES = {
+    DetectorConfig: ({}, parse_config_section("detector"), ConfigError),
+    RepairParams: ({}, parse_config_section("repair"), ConfigError),
+    **{cls: (row, parse_segment, ConfigError) for cls, row in SEGMENT_ROWS.items()},
+    EventRecord: (EVENT_ROW, parse_event, TraceFormatError),
+}
+
+
+def wrong_json_values(kind) -> list:
+    """Values of the wrong JSON type for a field whose type hint is ``kind``."""
+    args = get_args(kind)
+    if type(None) in args:  # null is right; anything else must be right for X
+        return wrong_json_values(args[0])
+    if get_origin(kind) is tuple:
+        return ["1", *([value] for value in wrong_json_values(args[0]))]
+    if kind is int:
+        return ["1", 2.5, True]
+    if kind is float:
+        return ["1"]
+    return [1]  # bool and Enum fields
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}={value!r}")
+        for cls in GATES
+        for f in fields(cls)
+        for value in wrong_json_values(get_type_hints(cls)[f.name])
+    ],
+)
+def test_every_field_rejects_a_wrong_json_type(cls, name, value):
+    row, parse, error = GATES[cls]
+    parse(row)
+    with pytest.raises(error, match=rf"\.{name} must"):
+        parse({**row, name: value})
 
 
 class TestCli:
@@ -237,6 +309,8 @@ class TestCli:
                     ("entropy", float("nan")),
                     ("repair_index", True),
                     ("mu", "1.0"),
+                    ("t", sys.maxsize + 1),
+                    ("note", "unknown key"),
                 )
             ),
         ],

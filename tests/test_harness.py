@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,9 @@ class TestScenarioValidation:
             {"segments": [{"kind": "stable", "steps": 5, "target_entropy": float("nan")}]},
             {"segments": [{"kind": "stable", "steps": 5, "target_entropy": 1.2, "anchors": [1.5]}]},
             {"segments": [5]},
+            {"length": sys.maxsize + 1},
+            {"segments": [[["kind", "stable"], ["steps", 5], ["target_entropy", 1.2]]]},
+            {"segments": [{"kind": "stable", "steps": 5, "target_entropy": 1.2, "anchors": "1"}]},
         ],
     )
     def test_from_dict_rejects_wrong_types(self, change):

@@ -245,6 +245,15 @@ class TestRepetitionPenalty:
         z = [1.0, -1.0]
         assert repetition_penalty(z, {5, -1}, rho=1.3) == pytest.approx(z)
 
+    def test_out_buffer_or_in_place_matches_a_new_array(self):
+        z = np.array([2.6, -1.0, 0.7, 0.0])
+        expected = repetition_penalty(z, {0, 1, 3}, rho=1.3)
+        buffer = np.empty_like(z)
+        assert repetition_penalty(z, {0, 1, 3}, rho=1.3, out=buffer) is buffer
+        assert buffer.tobytes() == expected.tobytes()
+        assert repetition_penalty(z, {0, 1, 3}, rho=1.3, out=z) is z
+        assert z.tobytes() == expected.tobytes()
+
     @given(logit_vectors, st.sets(st.integers(min_value=0, max_value=63), max_size=20))
     @settings(max_examples=200)
     def test_sign_preservation(self, z, recent):
