@@ -24,7 +24,14 @@ from pathlib import Path
 
 from .controller import ControllerConfig
 from .detector import DetectorConfig
-from .errors import ConfigError, checked_float, read_fields, read_json, reject_unknown
+from .errors import (
+    ConfigError,
+    checked_float,
+    checked_object,
+    read_fields,
+    read_json,
+    reject_unknown,
+)
 from .plan_tracker import GuidanceTable, PatternSet, StepType
 from .repair import RepairParams
 
@@ -33,9 +40,7 @@ __all__ = ["config_from_dict", "load_config_dict"]
 
 def _object(value, what: str) -> dict:
     """``value`` without its ``doc`` entry; it must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
-    return {k: v for k, v in value.items() if k != "doc"}
+    return {k: v for k, v in checked_object(value, what).items() if k != "doc"}
 
 
 def _section(d: dict, name: str) -> dict:

@@ -18,11 +18,13 @@ runs only on intervened steps; low-entropy steps feed the reference pool
 own edits); finally the window absorbs the step's entropy. Unintervened
 steps pass the input logits through bit-identical.
 
-Buffers: a step keeps no |V|-sized array for the next one, apart from the
-log-probs the pool admits. An intervened step calls the public math
-functions of ``distributions`` and ``repair``, and passes as their keyword
-buffers (``out``, ``shifted``, ``work``) arrays it already owns and that
-would otherwise die: the float64 widening of the conditional holds the
+Buffers: the stream keeps one |V| float64 workspace, the ``work`` buffer
+of every step's entropy pass, and the pool keeps a float32 copy of the
+log-probs it admits; a step keeps no other |V|-sized array for the next
+one. An intervened step calls the public math functions of
+``distributions`` and ``repair``, and passes as their keyword buffers
+(``out``, ``shifted``, ``work``) arrays it already owns and that would
+otherwise die: the float64 widening of the conditional holds the
 directive's logits, the conditional log-probs (never admitted on such a
 step) hold the output entropy's shifted values, and an external
 reference's widening is normalized in place. It never writes into an
@@ -185,6 +187,7 @@ class Controller:
         self._detector = SpikeDetector(det)
         self._tracker = PlanTracker(config.patterns)
         self._pool = ReferencePool(config.vocab_size, capacity=config.repair.pool_capacity)
+        self._work = np.empty(config.vocab_size)
         self._recent: list[int] = []
         self._next_t = 0
         self._awaiting_sample = False
@@ -241,7 +244,7 @@ class Controller:
         vocab = self.config.vocab_size
         cond = as_logits(cond_logits, vocab)
         ref = None if ref_logits is None else as_logits(ref_logits, vocab)
-        entropy, cond_logprobs = entropy_and_logprobs(cond)
+        entropy, cond_logprobs = entropy_and_logprobs(cond, work=self._work)
 
         # Every input is valid; stream state changes only from here on.
         if inline_token:
@@ -314,8 +317,9 @@ class Controller:
         ``cond_in`` and ``ref_in`` pair each validated vector with what the
         host passed. An intervened step writes only into arrays it owns: the
         widened inputs (dead once the log-probs exist), ``cond_logprobs``
-        (the pool admits only unintervened steps) and the reference. At
-        most four |V| float64 arrays are live at once.
+        (the pool admits only unintervened steps) and the reference. Besides
+        the stream's workspace, at most four |V| float64 arrays are live at
+        once.
         """
         cond, cond_logits = cond_in
         if decision.kind is DecisionKind.NO_ACTION:

@@ -111,11 +111,14 @@ def shannon_entropy(logits, *, shifted=None, work=None) -> float:
     return _entropy_into(z, shifted, np.empty_like(z) if work is None else work)[0]
 
 
-def entropy_and_logprobs(logits) -> tuple[float, np.ndarray]:
-    """Entropy plus the normalized log-probabilities, sharing one pass."""
+def entropy_and_logprobs(logits, *, work=None) -> tuple[float, np.ndarray]:
+    """Entropy plus the normalized log-probabilities, sharing one pass.
+
+    The log-probs are a new array; ``work`` is overwritten.
+    """
     z = np.asarray(logits, dtype=np.float64)
     logprobs = np.empty_like(z)
-    h, lse = _entropy_into(z, logprobs, np.empty_like(z))
+    h, lse = _entropy_into(z, logprobs, np.empty_like(z) if work is None else work)
     logprobs -= lse
     return h, logprobs
 

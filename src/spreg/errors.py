@@ -5,7 +5,8 @@ conditions that callers (and the CLI exit-code mapping) need to tell
 apart. ``checked_int`` and ``checked_float`` are the one definition of an
 integer and a real number for configs, scenarios, trace and wire frames,
 event files, and the step index and sampled token of a stream.
-``read_json`` is the one reader of a config, scenario or pattern file.
+``read_json`` is the one reader of a config, scenario or pattern file, and
+``checked_object`` the one check that a JSON value is an object.
 ``read_fields`` is the one way from a JSON object to a dataclass: config
 sections, scenarios and their segments, and event-file rows. Each field's
 JSON type is its type hint, so it is written once, in the dataclass.
@@ -73,6 +74,13 @@ def read_json(source, what: str):
         raise ConfigError(f"cannot load {what} {source}: {exc}") from exc
 
 
+def checked_object(body, what: str) -> dict:
+    """``body`` if it is a JSON object (a dict), else ValueError."""
+    if not isinstance(body, dict):
+        raise ValueError(f"{what} must be an object, got {type(body).__name__}")
+    return body
+
+
 def reject_unknown(body: dict, known, what: str) -> None:
     """Raise ValueError naming every key of ``body`` not in ``known``."""
     unknown = set(body) - set(known)
@@ -95,8 +103,7 @@ def read_fields(cls, body, what: str, **given):
     define is an error. The fields in ``given`` are taken as they are
     (the caller has already read them) and not from ``body``.
     """
-    if not isinstance(body, dict):
-        raise ValueError(f"{what} must be an object, got {type(body).__name__}")
+    checked_object(body, what)
     kinds = _type_hints(cls)
     reject_unknown(body, kinds, what)
     values = dict(given)

@@ -33,7 +33,7 @@ import numpy as np
 from .controller import EventRecord
 from .detector import DetectorConfig
 from .distributions import shannon_entropy
-from .errors import ConfigError, read_fields, read_json
+from .errors import ConfigError, checked_object, read_fields, read_json
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
 
@@ -147,9 +147,12 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         try:
-            segments = tuple(_segment_from_dict(s) for s in d.get("segments", []))
+            segments = checked_object(d, "scenario").get("segments", [])
+            if not isinstance(segments, list):
+                raise ValueError(f"scenario.segments must be a list, got {segments!r}")
+            segments = tuple(_segment_from_dict(s) for s in segments)
             return read_fields(cls, d, "scenario", segments=segments)
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
 
     @classmethod
@@ -175,7 +178,7 @@ _SEGMENT_KINDS = {
 
 
 def _segment_from_dict(d: dict):
-    kind = d.get("kind")
+    kind = checked_object(d, "segment").get("kind")
     if kind not in _SEGMENT_KINDS:
         raise ConfigError(f"unknown segment kind {kind!r}")
     body = {k: v for k, v in d.items() if k != "kind"}

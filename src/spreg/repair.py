@@ -8,7 +8,10 @@ from a reference distribution in log-softmax space,
 with a per-token weight vector derived from the standardized reference
 log-probs. The reference comes from an externally supplied distribution
 when available, otherwise it is synthesized from a pool of low-entropy
-historical distributions, falling back to uniform.
+historical distributions, falling back to uniform. The pool stores each
+row as float32, with log-probs below float32's range clipped to
+``-finfo(float32).max`` (probability 0 either way), and synthesizes the
+reference in float64; all arithmetic here is float64.
 
 Precondition: the conditional and reference vectors passed in here are
 finite, normalized float64 log-probs (log_softmax output) of the stream's
@@ -61,6 +64,9 @@ __all__ = [
 # Upper bound on lambda_max, eta and rho; see the finiteness rule above.
 MAX_GAIN = 1e60
 
+# The lowest value a pool row stores; see ``ReferencePool``.
+_FLOAT32_FLOOR = -np.finfo(np.float32).max
+
 
 @dataclass(frozen=True)
 class RepairParams:
@@ -93,6 +99,11 @@ class ReferencePool:
     The controller decides what is admitted (unintervened steps whose
     entropy is below the window mean); the oldest entry is evicted at
     capacity. One pool belongs to one stream.
+
+    Rows are stored as float32, which halves the pool's memory; the
+    reference is synthesized from them in float64. A log-prob below
+    float32's range is stored as ``-finfo(float32).max``: its probability
+    is already 0, and the row stays finite.
     """
 
     def __init__(self, vocab_size: int, capacity: int = 32):
@@ -103,8 +114,13 @@ class ReferencePool:
         return len(self._entries)
 
     def record(self, logprobs: np.ndarray) -> bool:
-        """Store the distribution as given (not copied); True, as every offer is stored."""
-        self._entries.append(logprobs)
+        """Store a float32 copy of the distribution; True, as every offer is stored."""
+        # Cast, then clip the float32 row in place: clipping the float64
+        # input into a float32 ``out`` would take a |V|-sized cast buffer.
+        with np.errstate(over="ignore"):
+            row = logprobs.astype(np.float32)
+        np.maximum(row, _FLOAT32_FLOOR, out=row)
+        self._entries.append(row)
         return True
 
     def synthesize(self) -> np.ndarray:
@@ -113,16 +129,17 @@ class ReferencePool:
         Averages the log-probabilities (the normalized geometric mean of
         the distributions); an empty pool falls back to uniform.
 
-        The rows are added one by one in insertion order into a single
-        buffer: that is the same sequence of float additions as numpy's
-        axis-0 mean of the stacked entries, so the result is bit-identical
-        to it without materialising a capacity x |V| array. The result is
-        a fresh array the caller owns.
+        The oldest row is widened into one float64 buffer and the later
+        rows are added to it in insertion order: that is the same sequence
+        of float64 additions as numpy's axis-0 mean of the widened rows
+        stacked, so the result is bit-identical to it without
+        materialising a capacity x |V| array. The result is a fresh array
+        the caller owns.
         """
         if not self._entries:
             return np.full(self.vocab_size, -math.log(self.vocab_size))
         rows = iter(self._entries)
-        total = next(rows).copy()
+        total = next(rows).astype(np.float64)
         for row in rows:
             total += row
         total /= len(self._entries)

@@ -56,18 +56,32 @@ def naive_cfg(cond, uncond, gamma: float) -> np.ndarray:
     return lu + gamma * (lc - lu)
 
 
+def oracle_pool_row(logprobs) -> np.ndarray:
+    """A log-prob row as the pool stores it, widened back to float64.
+
+    Each value is rounded to float32; one below float32's range (which
+    would round to -inf) becomes ``-finfo(float32).max``.
+    """
+    with np.errstate(over="ignore"):
+        rounded = np.asarray(logprobs, dtype=np.float64).astype(np.float32)
+    floor = -np.finfo(np.float32).max
+    return np.where(rounded < floor, floor, rounded).astype(np.float64)
+
+
 def oracle_pool_reference(entries, capacity: int) -> np.ndarray:
     """Reference of a pool that recorded ``entries`` in order.
 
     ``entries`` is an (n, |V|) array of log-prob rows, n >= 0. The last
-    ``capacity`` rows are stacked, averaged over axis 0 and normalized; an
-    empty pool is uniform.
+    ``capacity`` rows are rounded as the pool stores them
+    (``oracle_pool_row``), stacked, averaged over axis 0 and normalized;
+    an empty pool is uniform.
     """
     stacked = np.asarray(entries, dtype=np.float64)[-capacity:]
     if len(stacked) == 0:
         vocab = stacked.shape[1]
         return np.full(vocab, -math.log(vocab))
-    return log_softmax(stacked.mean(axis=0))
+    rounded = np.stack([oracle_pool_row(row) for row in stacked])
+    return log_softmax(rounded.mean(axis=0))
 
 
 # Position ties between step types break in this order, highest first.

@@ -721,6 +721,31 @@ class TestStepNumerics:
         assert peaks[(Mode.REPAIR, ReferenceSource.EXTERNAL)] <= 4.25 * vector
         assert peaks[(Mode.REPAIR, ReferenceSource.POOL)] <= 4.25 * vector
 
+    def test_stream_retains_float32_pool_rows_and_one_workspace(self):
+        # Float64 pool rows would retain 32 * 8 * |V| bytes for the pool alone.
+        vocab, capacity = 4096, 32
+        rng = np.random.default_rng(6)
+        inputs = [
+            (rng.standard_normal(vocab) * rng.uniform(0.5, 2)).astype(np.float32)
+            for _ in range(200)
+        ]
+        warm = Controller(ControllerConfig(vocab_size=vocab))  # fills module-level caches
+        for t, z in enumerate(inputs[:50]):
+            warm.process_step(t, z)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ctrl = Controller(ControllerConfig(vocab_size=vocab))
+            for t, z in enumerate(inputs):
+                ctrl.process_step(t, z)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(ctrl._pool) == capacity
+        # Half a float64 vector covers the stream's Python objects, the
+        # rows' array headers among them.
+        assert retained <= capacity * 4 * vocab + 8 * vocab + 4 * vocab
+
 
 class TestFiniteness:
     """A logit range over MAX_LOGIT_RANGE is rejected before the commit; within it

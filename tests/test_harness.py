@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -106,6 +107,20 @@ class TestScenarioValidation:
         assert Scenario.from_dict(payload).vocab_size == 16
         with pytest.raises(ConfigError):
             Scenario.from_dict({**payload, **change})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1], "scenario must be an object, got list"),
+            ({"segments": [[["kind", "stable"]]]}, "segment must be an object, got list"),
+            ({"segments": [5]}, "segment must be an object, got int"),
+            ({"segments": 5}, "scenario.segments must be a list, got 5"),
+            ({"segments": {"kind": "stable"}}, "scenario.segments must be a list, got {"),
+        ],
+    )
+    def test_from_dict_names_a_scenario_or_segment_of_the_wrong_type(self, payload, message):
+        with pytest.raises(ConfigError, match="^bad scenario: " + re.escape(message)):
+            Scenario.from_dict(payload)
 
     @pytest.mark.parametrize(
         "segment, key",

@@ -81,7 +81,32 @@ class TestReferencePool:
         pool = ReferencePool(3)
         lp = log_softmax([2.0, 0.0, -1.0])
         pool.record(lp)
-        assert pool.synthesize() == pytest.approx(lp, abs=1e-12)
+        stored = lp.astype(np.float32).astype(np.float64)
+        assert pool.synthesize() == pytest.approx(log_softmax(stored), abs=0)
+
+    def test_rows_are_float32_copies(self):
+        pool = ReferencePool(3)
+        lp = log_softmax([2.0, 0.0, -1.0])
+        pool.record(lp)
+        lp[:] = 0.0
+        (row,) = pool._entries
+        assert row.dtype == np.float32
+        assert np.array_equal(row, log_softmax([2.0, 0.0, -1.0]).astype(np.float32))
+
+    def test_log_prob_below_float32_range_is_stored_at_its_floor(self):
+        # pytest turns numpy's overflow warning into an error here, so the
+        # cast must not warn.
+        floor = -np.finfo(np.float32).max
+        pool = ReferencePool(3, capacity=2)
+        lp = log_softmax([0.0, -9.9e99, 1.0])
+        assert lp[1] < 2 * float(floor)
+        pool.record(lp)
+        assert pool._entries[0][1] == floor
+        pool.record(log_softmax([0.0, 1.0, 2.0]))
+        reference = pool.synthesize()
+        assert np.all(np.isfinite(reference))
+        rows = np.stack([lp, log_softmax([0.0, 1.0, 2.0])])
+        assert np.array_equal(reference, oracle_pool_reference(rows, 2))
 
     def test_mirrored_pair_averages_to_uniform(self):
         pool = ReferencePool(2)
