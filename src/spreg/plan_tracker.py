@@ -33,6 +33,7 @@ Patterns ship as a JSON data file so the cue vocabulary can be swapped
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,7 +41,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, read_json, read_value
 
 __all__ = ["StepType", "PatternSet", "PlanTracker", "GuidanceTable"]
 
@@ -74,37 +75,40 @@ def _compile_keyword(keyword: str) -> re.Pattern:
     return re.compile(rf"(?<!\w){re.escape(keyword)}(?!\w)", re.IGNORECASE)
 
 
-def _strings(entry: dict, key: str, step: StepType) -> list[str]:
-    values = entry.get(key, [])
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise ConfigError(f"{key} for {step.value!r} must be a list of strings")
-    return values
+@dataclass(frozen=True)
+class Cues:
+    """One step type's entry in a pattern file."""
+
+    keywords: tuple[str, ...] = ()
+    regex_cues: tuple[str, ...] = ()
 
 
 class PatternSet:
-    """Compiled per-step-type keyword and regex cues; immutable after load."""
+    """Compiled per-step-type keyword and regex cues; immutable after load.
 
-    def __init__(self, spec: dict[str, dict[str, list[str]]]):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"patterns must be an object, got {type(spec).__name__}")
+    ``spec`` maps every step type to its ``Cues``; it is read by
+    ``errors.read_value``, so an unknown step type or entry key is an error.
+    """
+
+    def __init__(self, spec: dict):
+        try:
+            entries = read_value(spec, Mapping[StepType, Cues], "patterns")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         self._patterns: list[tuple[StepType, re.Pattern]] = []
         for step in StepType:
-            entry = spec.get(step.value)
+            entry = entries.get(step)
             if entry is None:
                 raise ConfigError(f"pattern file missing step type {step.value!r}")
-            if not isinstance(entry, dict):
-                raise ConfigError(f"patterns for {step.value!r} must be an object")
-            keywords = _strings(entry, "keywords", step)
-            cues = _strings(entry, "regex_cues", step)
-            if not keywords and not cues:
+            if not entry.keywords and not entry.regex_cues:
                 raise ConfigError(f"step type {step.value!r} needs at least one pattern")
-            for kw in keywords:
+            for kw in entry.keywords:
                 if len(kw) >= _OVERLAP:
                     raise ConfigError(
                         f"keyword for {step.value!r} must be shorter than {_OVERLAP} characters: {kw!r}"
                     )
                 self._patterns.append((step, _compile_keyword(kw)))
-            for cue in cues:
+            for cue in entry.regex_cues:
                 try:
                     self._patterns.append((step, re.compile(cue)))
                 except re.error as exc:
@@ -115,7 +119,9 @@ class PatternSet:
         return cls(read_json(Path(path), "pattern file"))
 
     @classmethod
+    @functools.cache
     def default(cls) -> "PatternSet":
+        """The packaged patterns, built once per process and shared."""
         return cls(read_json(resources.files("spreg") / "data" / "patterns.json", "pattern file"))
 
 
@@ -175,27 +181,31 @@ class PlanTracker:
         return self._active
 
 
+# lambda_base(tau) for each step type a guidance table does not set.
+_LAMBDA_BASE = {
+    StepType.REASONING: 1.5,
+    StepType.ACTION: 1.8,
+    StepType.OBSERVATION: 1.5,
+    StepType.CONCLUSION: 1.8,
+}
+
+
 @dataclass(frozen=True)
 class GuidanceTable:
     """Per-step-type base guidance scale lambda_base(tau).
 
-    The repair scale is lambda_base(tau) * (1 + beta * relative entropy
-    excess) / (1 + repair_index); see ``repair.adaptive_scale_raw``.
+    A step type missing from ``lambda_base`` takes its default (1.5 for
+    reasoning and observation, 1.8 for action and conclusion), so a
+    partial table changes only the entries it names; every entry must be
+    > 0. The repair scale is lambda_base(tau) * (1 + beta * relative
+    entropy excess) / (1 + repair_index); see ``repair.adaptive_scale``.
     """
 
-    lambda_base: Mapping[StepType, float] = field(
-        default_factory=lambda: {
-            StepType.REASONING: 1.5,
-            StepType.ACTION: 1.8,
-            StepType.OBSERVATION: 1.5,
-            StepType.CONCLUSION: 1.8,
-        }
-    )
+    lambda_base: Mapping[StepType, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for step in StepType:
-            value = self.lambda_base.get(step)
-            if value is None:
-                raise ConfigError(f"lambda_base missing entry for {step.value}")
+        table = {**_LAMBDA_BASE, **self.lambda_base}
+        for step, value in table.items():
             if not value > 0:
                 raise ConfigError(f"lambda_base[{step.value}] must be > 0, got {value}")
+        object.__setattr__(self, "lambda_base", table)

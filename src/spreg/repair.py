@@ -54,7 +54,6 @@ __all__ = [
     "RepairParams",
     "ReferencePool",
     "adaptive_scale",
-    "adaptive_scale_raw",
     "token_weights",
     "guided_logits",
     "repetition_penalty",
@@ -146,23 +145,6 @@ class ReferencePool:
         return log_softmax(total, out=total)
 
 
-def adaptive_scale_raw(
-    entropy: float,
-    mu: float,
-    step: StepType,
-    repair_index: int,
-    table: GuidanceTable,
-    params: RepairParams,
-) -> float:
-    """Unclamped guidance scale.
-
-    lambda_base(step) * (1 + beta * (H - mu) / (mu + EPSILON)), divided by
-    (1 + repair_index) so successive repairs decay.
-    """
-    excess = 1.0 + params.beta * (entropy - mu) / (mu + EPSILON)
-    return table.lambda_base[step] * excess / (1 + repair_index)
-
-
 def adaptive_scale(
     entropy: float,
     mu: float,
@@ -173,11 +155,13 @@ def adaptive_scale(
 ) -> float:
     """Guidance scale clamped into [1, lambda_max].
 
-    The lower clamp keeps the guidance extrapolating rather than
-    interpolating when forced-repair continuation steps see entropy back
-    below the mean.
+    lambda_base(step) * (1 + beta * (H - mu) / (mu + EPSILON)), divided by
+    (1 + repair_index) so successive repairs decay. The lower clamp keeps
+    the guidance extrapolating rather than interpolating when
+    forced-repair continuation steps see entropy back below the mean.
     """
-    raw = adaptive_scale_raw(entropy, mu, step, repair_index, table, params)
+    excess = 1.0 + params.beta * (entropy - mu) / (mu + EPSILON)
+    raw = table.lambda_base[step] * excess / (1 + repair_index)
     return min(max(raw, 1.0), params.lambda_max)
 
 

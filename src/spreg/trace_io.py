@@ -73,8 +73,8 @@ class TraceRecord:
                 ref = np.asarray(self.ref_logits, dtype=np.float32)
                 object.__setattr__(self, "ref_logits", ref)
 
-    def _fields(self) -> dict:
-        """The record's fields in wire order, leaving out absent extras."""
+    def to_json(self) -> str:
+        """The record as JSON text: fields in wire order, absent extras left out."""
         d: dict = {"t": self.t, "logits": self.logits}
         if self.ref_logits is not None:
             d["ref_logits"] = self.ref_logits
@@ -82,13 +82,7 @@ class TraceRecord:
             d["token_id"] = self.token_id
         if self.token_text is not None:
             d["token_text"] = self.token_text
-        return d
-
-    def to_dict(self) -> dict:
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self._fields().items()}
-
-    def to_json(self) -> str:
-        return _json_object(self._fields())
+        return _json_object(d)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceRecord":

@@ -2,6 +2,7 @@ import io
 import json
 import sys
 import tracemalloc
+from collections.abc import Mapping
 from dataclasses import fields
 from importlib import resources
 from typing import get_args, get_origin, get_type_hints
@@ -21,7 +22,7 @@ from spreg.harness import (
     SpikeInjection,
     StableRegime,
 )
-from spreg.plan_tracker import GuidanceTable, StepType
+from spreg.plan_tracker import Cues, GuidanceTable, StepType
 from spreg.repair import RepairParams
 from spreg.trace_io import read_events
 
@@ -65,10 +66,17 @@ class TestConfigLoading:
         assert cfg.guidance.lambda_base[StepType.REASONING] == 1.5
 
     def test_doc_keys_ignored(self):
+        doc = {"doc": {"alpha": "sensitivity"}}
         cfg = config_from_dict(
-            {"vocab_size": 8, "detector": {"alpha": 1.0, "doc": {"alpha": "sensitivity"}}}
+            {
+                "vocab_size": 8,
+                **doc,
+                "detector": {"alpha": 1.0, **doc},
+                "repair": doc,
+                "guidance": {"lambda_base": doc, **doc},
+            }
         )
-        assert cfg.detector.alpha == 1.0
+        assert cfg == config_from_dict({"vocab_size": 8, "detector": {"alpha": 1.0}})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -143,6 +151,11 @@ def parse_config_section(section: str):
     return lambda row: config_from_dict({"vocab_size": 8, section: row})
 
 
+def parse_pattern_entry(row: dict):
+    patterns = {s.value: {"keywords": [s.value]} for s in StepType}
+    return config_from_dict({"vocab_size": 8, "patterns": {**patterns, "action": row}})
+
+
 def parse_event(row: dict):
     return read_events(io.StringIO(json.dumps(row)))
 
@@ -151,6 +164,8 @@ def parse_event(row: dict):
 GATES = {
     DetectorConfig: ({}, parse_config_section("detector"), ConfigError),
     RepairParams: ({}, parse_config_section("repair"), ConfigError),
+    GuidanceTable: ({}, parse_config_section("guidance"), ConfigError),
+    Cues: ({"keywords": ["tool"]}, parse_pattern_entry, ConfigError),
     **{cls: (row, parse_segment, ConfigError) for cls, row in SEGMENT_ROWS.items()},
     EventRecord: (EVENT_ROW, parse_event, TraceFormatError),
 }
@@ -163,11 +178,14 @@ def wrong_json_values(kind) -> list:
         return wrong_json_values(args[0])
     if get_origin(kind) is tuple:
         return ["1", *([value] for value in wrong_json_values(args[0]))]
+    if get_origin(kind) is Mapping:  # an object, and one entry of the wrong type
+        first = next(iter(args[0])).value
+        return ["1", *({first: value} for value in wrong_json_values(args[1]))]
     if kind is int:
         return ["1", 2.5, True]
     if kind is float:
         return ["1"]
-    return [1]  # bool and Enum fields
+    return [1]  # bool, str and Enum fields
 
 
 @pytest.mark.parametrize(
@@ -182,7 +200,9 @@ def wrong_json_values(kind) -> list:
 def test_every_field_rejects_a_wrong_json_type(cls, name, value):
     row, parse, error = GATES[cls]
     parse(row)
-    with pytest.raises(error, match=rf"\.{name} must"):
+    # A wrong mapping entry is blamed on its key.
+    blamed = ".".join([name, *value]) if isinstance(value, dict) else name
+    with pytest.raises(error, match=rf"\.{blamed} must"):
         parse({**row, name: value})
 
 
@@ -281,6 +301,11 @@ class TestCli:
         # serve checks its base config at startup, before reading any frame.
         assert main(["serve", "--stdio", "--config", str(bad)]) == 2
         assert "detector.window" in capsys.readouterr().err
+        patterns = {s.value: {"keywords": [s.value]} for s in StepType}
+        patterns["observation"]["regex_cue"] = ["=>"]
+        bad.write_text(json.dumps({"patterns": patterns}))
+        assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        assert "unknown patterns.observation keys: regex_cue" in capsys.readouterr().err
 
     def test_malformed_trace_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"

@@ -236,6 +236,31 @@ class TestPatternSet:
         with pytest.raises(ConfigError, match="shorter than"):
             PatternSet(spec)
 
+    @pytest.mark.parametrize("key", ["regex_cue", "keyword"])
+    def test_misspelled_entry_key_rejected(self, key):
+        spec = {s.value: {"keywords": [s.value]} for s in StepType}
+        spec["observation"][key] = ["=>"]
+        with pytest.raises(ConfigError, match=f"unknown patterns.observation keys: {key}$"):
+            PatternSet(spec)
+
+    def test_unknown_step_type_rejected(self):
+        spec = {s.value: {"keywords": [s.value]} for s in StepType}
+        spec["Action"] = {"keywords": ["tool"]}
+        with pytest.raises(
+            ConfigError,
+            match="patterns key 'Action' must be one of reasoning, action, observation, conclusion",
+        ):
+            PatternSet(spec)
+
+    def test_doc_accepted_in_the_file_and_each_entry(self):
+        spec = {s.value: {"keywords": [s.value], "doc": "cues"} for s in StepType}
+        plain = PatternSet({s.value: {"keywords": [s.value]} for s in StepType})
+        documented = PatternSet({**spec, "doc": {"action": "tool use"}})
+        assert documented._patterns == plain._patterns
+
+    def test_default_is_built_once(self):
+        assert PatternSet.default() is PatternSet.default()
+
     def test_load_from_file(self, tmp_path):
         spec = {s.value: {"keywords": [s.value], "regex_cues": []} for s in StepType}
         path = tmp_path / "patterns.json"
@@ -265,6 +290,7 @@ class TestGuidanceTable:
         with pytest.raises(ConfigError):
             GuidanceTable(lambda_base={**GuidanceTable().lambda_base, StepType.ACTION: -1.0})
 
-    def test_rejects_missing_entries(self):
-        with pytest.raises(ConfigError):
-            GuidanceTable(lambda_base={StepType.ACTION: 1.0})
+    def test_missing_entries_take_their_defaults(self):
+        table = GuidanceTable(lambda_base={StepType.ACTION: 1.0})
+        assert table.lambda_base == {**GuidanceTable().lambda_base, StepType.ACTION: 1.0}
+        assert GuidanceTable(lambda_base={}) == GuidanceTable()

@@ -19,7 +19,6 @@ from spreg.repair import (
     ReferencePool,
     RepairParams,
     adaptive_scale,
-    adaptive_scale_raw,
     aggressive_recover,
     guided_logits,
     repetition_penalty,
@@ -167,19 +166,28 @@ class TestAdaptiveScale:
     def test_cap_binds(self):
         lam = adaptive_scale(10.0, 2.0, StepType.REASONING, 0, TABLE, PARAMS)
         assert lam == 3.0
-        raw = adaptive_scale_raw(10.0, 2.0, StepType.REASONING, 0, TABLE, PARAMS)
-        assert raw > 3.0
+        # 1.5 * (1 + 0.5 * 8 / 2) = 4.5: the cap is what holds it at 3.
+        wide = RepairParams(lambda_max=10.0)
+        assert adaptive_scale(10.0, 2.0, StepType.REASONING, 0, TABLE, wide) > 3.0
 
     def test_floor_binds_when_entropy_below_mean(self):
         lam = adaptive_scale(0.5, 2.0, StepType.REASONING, 0, TABLE, PARAMS)
         assert lam == 1.0
-        assert adaptive_scale_raw(0.5, 2.0, StepType.REASONING, 0, TABLE, PARAMS) < 1.0
+        # Twice the base gives 3 * (1 + 0.5 * -1.5 / 2) = 1.875, inside the
+        # band, so without the floor the default base would give 0.9375.
+        doubled = GuidanceTable(lambda_base={StepType.REASONING: 3.0})
+        unclamped = adaptive_scale(0.5, 2.0, StepType.REASONING, 0, doubled, PARAMS)
+        assert 1.0 < unclamped < PARAMS.lambda_max
+        assert unclamped / 2 < 1.0
 
     def test_decay_ratio_is_exact(self):
+        # Wide cap and a large excess keep every scale inside the clamp band.
+        wide = RepairParams(lambda_max=64.0)
+        lam0 = adaptive_scale(22.0, 2.0, StepType.ACTION, 0, TABLE, wide)
         for r in (1, 2, 3, 7):
-            raw0 = adaptive_scale_raw(2.8, 2.0, StepType.ACTION, 0, TABLE, PARAMS)
-            raw_r = adaptive_scale_raw(2.8, 2.0, StepType.ACTION, r, TABLE, PARAMS)
-            assert raw_r == raw0 / (1 + r)
+            lam_r = adaptive_scale(22.0, 2.0, StepType.ACTION, r, TABLE, wide)
+            assert 1.0 < lam_r < wide.lambda_max
+            assert lam_r == lam0 / (1 + r)
 
     @given(
         st.floats(min_value=0, max_value=8),

@@ -172,7 +172,7 @@ class TestReplayTrace:
 
     @pytest.mark.parametrize("make_bad", BAD_REPLAY_LINES.values(), ids=BAD_REPLAY_LINES.keys())
     def test_bad_step_names_its_line(self, tmp_path, capsys, make_bad):
-        lines = [r.to_dict() for r in random_records(8)]
+        lines = [json.loads(r.to_json()) for r in random_records(8)]
         lines[4] = make_bad(lines[4])
         path = tmp_path / "trace.jsonl"
         path.write_text("".join(json.dumps(d) + "\n" for d in lines))
@@ -327,7 +327,7 @@ class TestWireProtocol:
     def test_happy_path(self):
         records = random_records(4, vocab=8)
         requests = [{"kind": "init", "vocab_size": 8}]
-        requests += [{"kind": "step", "record": r.to_dict()} for r in records]
+        requests += [{"kind": "step", "record": json.loads(r.to_json())} for r in records]
         requests.append({"kind": "finish"})
         responses = run_wire(requests)
         assert responses[0] == {"kind": "ready"}
@@ -373,8 +373,8 @@ class TestWireProtocol:
             [
                 {"kind": "init", "vocab_size": 8},
                 {"kind": "bogus"},
-                {"kind": "step", "record": records[1].to_dict()},  # t=1 before t=0
-                {"kind": "step", "record": records[0].to_dict()},
+                {"kind": "step", "record": json.loads(records[1].to_json())},  # t=1 before t=0
+                {"kind": "step", "record": json.loads(records[0].to_json())},
                 {"kind": "finish"},
             ]
         )
@@ -388,7 +388,7 @@ class TestWireProtocol:
         responses = run_wire(
             [
                 {"kind": "init", "vocab_size": 8},
-                {"kind": "step", "record": {"t": 0, "logits": records[0].to_dict()["logits"]}},
+                {"kind": "step", "record": {"t": 0, "logits": records[0].logits.tolist()}},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": 5},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": 0},
                 {"kind": "sampled", "t": 0, "token_id": 3, "token_text": []},
@@ -432,7 +432,7 @@ class TestWireProtocol:
     def test_passthrough_directives_have_no_logits(self):
         records = random_records(3, vocab=8)
         requests = [{"kind": "init", "vocab_size": 8}]
-        requests += [{"kind": "step", "record": r.to_dict()} for r in records]
+        requests += [{"kind": "step", "record": json.loads(r.to_json())} for r in records]
         requests.append({"kind": "finish"})
         responses = run_wire(requests)
         for resp in responses[1:4]:
@@ -452,7 +452,7 @@ class TestWireProtocol:
         )
         records = list(generate(sc)[0])
         requests = [{"kind": "init", "vocab_size": VOCAB}]
-        requests += [{"kind": "step", "record": r.to_dict()} for r in records]
+        requests += [{"kind": "step", "record": json.loads(r.to_json())} for r in records]
         requests.append({"kind": "finish"})
         responses = run_wire(requests)
         wire_events = [r["event"] for r in responses if r.get("kind") == "directive"]
@@ -468,7 +468,7 @@ class TestWireProtocol:
         config = {"detector": {"h_min": 0.5, "g_min": 0.1, "t_warm": 3, "t_cool": 4}}
         records = [TraceRecord(t=t, logits=spike if t == 6 else sharp) for t in range(8)]
         requests = [{"kind": "init", "vocab_size": 8, "config": config}]
-        requests += [{"kind": "step", "record": r.to_dict()} for r in records]
+        requests += [{"kind": "step", "record": json.loads(r.to_json())} for r in records]
         requests.append({"kind": "finish"})
         responses = run_wire(requests)  # strict JSON: no Infinity
 
@@ -515,7 +515,7 @@ FAULT_RECORDS = fault_session_records()
 FAULT_REPLAY = replay_records(config_from_dict(FAULT_CONFIG, vocab_size=8), FAULT_RECORDS)
 FAULT_FRAMES = (
     [{"kind": "init", "vocab_size": 8, "config": FAULT_CONFIG}]
-    + [{"kind": "step", "record": r.to_dict()} for r in FAULT_RECORDS]
+    + [{"kind": "step", "record": json.loads(r.to_json())} for r in FAULT_RECORDS]
     + [{"kind": "finish"}]
 )
 
