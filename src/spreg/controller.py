@@ -18,19 +18,17 @@ runs only on intervened steps; low-entropy steps feed the reference pool
 own edits); finally the window absorbs the step's entropy. Unintervened
 steps pass the input logits through bit-identical.
 
-Buffers: the stream keeps one |V| float64 workspace, the ``work`` buffer
-of every step's entropy pass, and the pool keeps a float32 copy of the
-log-probs it admits; a step keeps no other |V|-sized array for the next
-one. An intervened step calls the public math functions of
-``distributions`` and ``repair``, and passes as their keyword buffers
-(``out``, ``shifted``, ``work``) arrays it already owns and that would
-otherwise die: the float64 widening of the conditional holds the
-directive's logits, the conditional log-probs (never admitted on such a
-step) hold the output entropy's shifted values, and an external
-reference's widening is normalized in place. It never writes into an
-array the host passed: as_logits returns a float64 input uncopied, and
-then the step allocates instead. A directive's logits are never written
-after the step returns them.
+Buffers: the stream keeps one |V| float64 workspace, and the pool keeps a
+float32 copy of the log-probs it admits; a step keeps no other |V|-sized
+array for the next one. The conditional is widened to float64 once (a
+float64 input is used as given), and that one array is both the entropy
+pass's input and a passthrough directive's logits. An intervened step
+writes its directive into the step's own conditional log-probs, which the
+pool never admits on such a step, and uses the workspace and the spent
+reference log-probs as the output entropy's buffers. The external
+reference is read in the host's dtype. No step writes into an array the
+host passed, and a directive's logits are never written after the step
+returns them.
 """
 
 from __future__ import annotations
@@ -151,18 +149,6 @@ class StreamSummary:
     mean_entropy: float | None  # None before the first step
 
 
-def _scratch(z: np.ndarray, given) -> np.ndarray:
-    """A |V| array the step may write: ``z`` if as_logits widened ``given``
-    into it, else a new array like it.
-
-    as_logits copies an array of any other dtype and returns a float64
-    array as is, so a step writes into its own copy and never into the
-    host's array.
-    """
-    copied = isinstance(given, np.ndarray) and given.dtype != np.float64
-    return z if copied else np.empty_like(z)
-
-
 def _checked_token(token_id, token_text) -> int | None:
     """Validate a sampled-token report before it changes any state."""
     if token_text is not None and not isinstance(token_text, str):
@@ -240,9 +226,11 @@ class Controller:
         token_id = _checked_token(token_id, token_text)
         inline_token = token_id is not None or bool(token_text)
         if inline_token and not self._awaiting_sample:
+            if t == 0:
+                raise ProtocolError("step 0: no token can be reported before the first step")
             raise ProtocolError(f"step {t}: sampled token was already notified")
         vocab = self.config.vocab_size
-        cond = as_logits(cond_logits, vocab)
+        cond = np.asarray(as_logits(cond_logits, vocab), dtype=np.float64)
         ref = None if ref_logits is None else as_logits(ref_logits, vocab)
         entropy, cond_logprobs = entropy_and_logprobs(cond, work=self._work)
 
@@ -258,7 +246,7 @@ class Controller:
 
         phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
         directive, lam, source, modified_entropy = self._repair(
-            (cond, cond_logits), cond_logprobs, (ref, ref_logits), entropy, mu, step_type, decision
+            cond, cond_logprobs, ref, entropy, mu, step_type, decision
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
@@ -292,21 +280,19 @@ class Controller:
             return None
         return entropy_gradient([*prior, entropy])
 
-    def _reference(
-        self, ref: np.ndarray | None, ref_logits, work: np.ndarray
-    ) -> tuple[np.ndarray, ReferenceSource]:
+    def _reference(self, ref: np.ndarray | None) -> tuple[np.ndarray, ReferenceSource]:
+        """The step's reference log-probs, a new array, and where they came from."""
         if ref is not None:
-            logprobs = log_softmax(ref, out=_scratch(ref, ref_logits), work=work)
-            return logprobs, ReferenceSource.EXTERNAL
+            return log_softmax(ref, work=self._work), ReferenceSource.EXTERNAL
         if len(self._pool) > 0:
             return self._pool.synthesize(), ReferenceSource.POOL
         return self._pool.synthesize(), ReferenceSource.UNIFORM
 
     def _repair(
         self,
-        cond_in: tuple[np.ndarray, object],
+        cond: np.ndarray,
         cond_logprobs: np.ndarray,
-        ref_in: tuple[np.ndarray | None, object],
+        ref: np.ndarray | None,
         entropy: float,
         mu: float | None,
         step_type: StepType,
@@ -314,22 +300,22 @@ class Controller:
     ) -> tuple[Directive, float | None, ReferenceSource, float | None]:
         """The directive, guidance scale, reference source and modified entropy of a step.
 
-        ``cond_in`` and ``ref_in`` pair each validated vector with what the
-        host passed. An intervened step writes only into arrays it owns: the
-        widened inputs (dead once the log-probs exist), ``cond_logprobs``
-        (the pool admits only unintervened steps) and the reference. Besides
-        the stream's workspace, at most four |V| float64 arrays are live at
-        once.
+        A passthrough directive carries ``cond``. An intervened one is
+        written into ``cond_logprobs``, which the pool admits only on
+        unintervened steps; the stream's workspace and the reference
+        log-probs, dead once the directive exists, are the output entropy's
+        buffers. Besides the workspace, at most four |V| arrays are live at
+        once, three for a float64 input.
         """
-        cond, cond_logits = cond_in
         if decision.kind is DecisionKind.NO_ACTION:
             return Directive(logits=cond), None, ReferenceSource.NA, None
         params = self.config.repair
-        out = _scratch(cond, cond_logits)
-        ref, source = self._reference(*ref_in, work=out)
+        ref, source = self._reference(ref)
         if decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
             lam = params.lambda_max
-            out, temperature = aggressive_recover(cond_logprobs, ref, self._recent, params, out=out)
+            out, temperature = aggressive_recover(
+                cond_logprobs, ref, self._recent, params, out=cond_logprobs
+            )
             directive = Directive(
                 logits=out, mode=Mode.AGGRESSIVE, temperature_override=temperature
             )
@@ -338,11 +324,11 @@ class Controller:
                 entropy, mu, step_type, decision.repair_index, self.config.guidance, params
             )
             h_norm = normalized_entropy(entropy, self.config.vocab_size)
-            weights = token_weights(ref, h_norm, params, work=out)
+            weights = token_weights(ref, h_norm, params, work=self._work)
             weights *= lam  # the extrapolation factor, scale * weights
-            out = guided_logits(cond_logprobs, ref, weights, out=out)
+            out = guided_logits(cond_logprobs, ref, weights, out=cond_logprobs)
             directive = Directive(logits=out, mode=Mode.REPAIR)
-        modified_entropy = shannon_entropy(out, shifted=cond_logprobs, work=ref)
+        modified_entropy = shannon_entropy(out, shifted=self._work, work=ref)
         return directive, lam, source, modified_entropy
 
     def finish(self) -> StreamSummary:

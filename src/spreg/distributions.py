@@ -1,8 +1,9 @@
 """Numeric primitives over dense token distributions.
 
-``as_logits`` is the one validator: it widens a vector to 1-D float64 and
-rejects anything the other functions cannot take. They trust their input
-and compute in float64, regardless of the input dtype. Entropy is in nats.
+``as_logits`` is the one validator: it rejects anything the other
+functions cannot take, and returns a float array as given. They trust
+their input, read any float dtype, and compute in float64. Entropy is in
+nats.
 
 logsumexp is evaluated as log1p over the non-argmax exponentials, which
 keeps full relative precision even for sharply peaked distributions, and
@@ -40,16 +41,13 @@ MAX_LOGIT_RANGE = 1e100
 
 
 def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
-    """Validate and widen a logit vector to a 1-D float64 array.
+    """Validate a 1-D logit vector.
 
     Raises ValueError for wrong dimensionality, fewer than two vocabulary
     entries, a vocab_size mismatch, non-finite entries, or a range
-    (max - min) above MAX_LOGIT_RANGE. A float64 array is returned as is,
-    not copied; an array of any other dtype is copied.
-
-    A float array is checked as given and widened only once it passes, so
-    a rejected float32 vector is never copied; widening is exact, so the
-    check sees the same values.
+    (max - min) above MAX_LOGIT_RANGE, taken in float64. A float array of
+    any width is returned as given, not copied; any other input becomes a
+    new float64 array.
     """
     is_float = isinstance(values, np.ndarray) and values.dtype.kind == "f"
     z = values if is_float else np.asarray(values, dtype=np.float64)
@@ -62,7 +60,7 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     # NaN, +-inf and an overflowing range all fail this comparison.
     if not float(z.max()) - float(z.min()) <= MAX_LOGIT_RANGE:
         raise ValueError(f"logits must be finite, with a range of at most {MAX_LOGIT_RANGE:g}")
-    return np.asarray(z, dtype=np.float64)
+    return z
 
 
 def _peak_parts(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> float:
@@ -70,11 +68,13 @@ def _peak_parts(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> float:
     (argmax zeroed) into ``work``; return the rest mass, the sum of ``work``.
 
     The argmax exponential is exactly 1 and is removed so logsumexp can be
-    taken as log1p(rest) at full relative precision. ``shifted`` may be
-    ``z`` itself; ``work`` must be a third array.
+    taken as log1p(rest) at full relative precision. ``z`` may be of any
+    float dtype; the subtraction is taken in float64, which is exactly the
+    difference of the widened values. ``shifted`` may be ``z`` itself;
+    ``work`` must be a third array.
     """
     i = int(np.argmax(z))
-    np.subtract(z, z[i], out=shifted)
+    np.subtract(z, z[i], out=shifted, dtype=np.float64)
     np.exp(shifted, out=work)
     work[i] = 0.0
     return float(work.sum())
@@ -97,18 +97,18 @@ def log_softmax(logits, *, out=None, work=None) -> np.ndarray:
     Written into ``out`` (which may be the float64 input itself); ``work``
     is overwritten.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    out = np.empty_like(z) if out is None else out
-    rest = _peak_parts(z, out, np.empty_like(z) if work is None else work)
+    z = np.asarray(logits)
+    out = np.empty(z.shape) if out is None else out
+    rest = _peak_parts(z, out, np.empty(z.shape) if work is None else work)
     out -= math.log1p(rest)
     return out
 
 
 def shannon_entropy(logits, *, shifted=None, work=None) -> float:
     """Entropy of softmax(logits), in nats; both buffers are overwritten."""
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = np.empty_like(z) if shifted is None else shifted
-    return _entropy_into(z, shifted, np.empty_like(z) if work is None else work)[0]
+    z = np.asarray(logits)
+    shifted = np.empty(z.shape) if shifted is None else shifted
+    return _entropy_into(z, shifted, np.empty(z.shape) if work is None else work)[0]
 
 
 def entropy_and_logprobs(logits, *, work=None) -> tuple[float, np.ndarray]:
@@ -116,9 +116,9 @@ def entropy_and_logprobs(logits, *, work=None) -> tuple[float, np.ndarray]:
 
     The log-probs are a new array; ``work`` is overwritten.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    logprobs = np.empty_like(z)
-    h, lse = _entropy_into(z, logprobs, np.empty_like(z) if work is None else work)
+    z = np.asarray(logits)
+    logprobs = np.empty(z.shape)
+    h, lse = _entropy_into(z, logprobs, np.empty(z.shape) if work is None else work)
     logprobs -= lse
     return h, logprobs
 

@@ -286,6 +286,7 @@ def _records(vocab_size, base_segments, spikes, rng, detector) -> Iterator[Trace
                 target = seg.start_entropy + seg.slope * i
                 top = seg.tokens[i % len(seg.tokens)]
                 step_profile = _boost(profile.copy(), [top, *(a for a in seg.tokens if a != top)])
+            prev_target = target  # a following drift continues from the base, not a spike
 
             spike = spike_lookup.get(t)
             if spike is not None:
@@ -302,7 +303,6 @@ def _records(vocab_size, base_segments, spikes, rng, detector) -> Iterator[Trace
             window.push(measured)
             yield TraceRecord(t=t, logits=logits, token_id=prev_token, token_text="")
             prev_token = int(np.argmax(logits))
-            prev_target = target
             t += 1
 
 

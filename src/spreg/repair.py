@@ -199,6 +199,7 @@ def guided_logits(
     output) of one shape; they are not re-checked or renormalized here.
     The result is a valid (unnormalized) logit vector for the host sampler.
     A factor of 1 reproduces the conditional; 0 reproduces the reference.
+    ``out`` may be ``cond_logprobs`` itself.
     """
     out = np.empty(np.shape(cond_logprobs)) if out is None else out
     np.subtract(cond_logprobs, ref_logprobs, out=out)

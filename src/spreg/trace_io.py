@@ -2,9 +2,9 @@
 
 Traces and wire frames are line-delimited JSON, UTF-8, one object per
 line. Logit arrays travel as 32-bit floats (what inference stacks emit)
-and are widened to float64 on ingest. spreg writes each logit with at
-most 9 significant digits, which identify every float32, so reading it
-back as float32 recovers it bit for bit and a read/write round trip is
+and are read as float32. spreg writes each logit with at most 9
+significant digits, which identify every float32, so reading it back as
+float32 recovers it bit for bit and a read/write round trip is
 bit-identical. Directive logits beyond float32's range are saturated to
 its largest finite value, so no response carries an infinity. Directives
 for unintervened steps omit the logits array entirely, so a passthrough
@@ -20,11 +20,13 @@ next line of its trace.
 
 The stdio server answers every request with exactly one response and
 never desynchronizes: protocol violations produce an ``error`` response
-(with the session intact), malformed frames are skipped the same way.
+(with the session intact), malformed frames are skipped the same way,
+and so is a line that is not UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from contextlib import contextmanager
@@ -336,15 +338,17 @@ class _Session:
 
 def serve_stdio(
     config: dict | None = None,
-    stdin: TextIO | None = None,
+    stdin: Iterable[str] | None = None,
     stdout: TextIO | None = None,
 ) -> int:
     """Run the request/response loop until a finish request or EOF.
 
     ``config`` is the config dict used when the init message carries no
-    config payload of its own.
+    config payload of its own. ``stdin`` is any iterable of text lines;
+    by default the console's stdin, read as UTF-8 whatever the locale.
     """
-    stdin = stdin if stdin is not None else sys.stdin
+    if stdin is None:  # a byte that is not UTF-8 becomes a lone surrogate
+        stdin = io.TextIOWrapper(sys.stdin.buffer, "utf-8", "surrogateescape", newline="\n")
     stdout = stdout if stdout is not None else sys.stdout
     session = _Session(config or {})
     for line in stdin:
@@ -352,6 +356,11 @@ def serve_stdio(
         if not line:
             continue
         try:
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError("frame is not valid UTF-8") from None
             msg = json.loads(line)
             if not isinstance(msg, dict):
                 raise ValueError("frame must be a JSON object")

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spreg.distributions import as_logits, log_softmax, normalized_entropy, shannon_entropy
+from spreg.distributions import (
+    as_logits,
+    entropy_and_logprobs,
+    log_softmax,
+    normalized_entropy,
+    shannon_entropy,
+)
 
 from _oracles import naive_entropy
 
@@ -60,7 +66,7 @@ def test_as_logits_checks_narrow_floats_as_given(dtype):
         assert str(narrow.value) == str(wide.value)
     # No float16 or float32 spread exceeds MAX_LOGIT_RANGE, and one that
     # overflows the input's own dtype is still accepted: the range is taken
-    # in float64.
+    # in float64. An accepted float array comes back as given, uncopied.
     top = np.finfo(dtype).max
     rng = np.random.default_rng(0)
     for z in (
@@ -68,9 +74,35 @@ def test_as_logits_checks_narrow_floats_as_given(dtype):
         np.array([-0.0, np.finfo(dtype).smallest_subnormal], dtype=dtype),
         rng.standard_normal(1000).astype(dtype),
     ):
-        out = as_logits(z, vocab_size=z.size)
-        assert out.dtype == np.float64 and out is not z
-        assert np.array_equal(out.view(np.uint64), np.asarray(z, dtype=np.float64).view(np.uint64))
+        before = z.tobytes()
+        assert as_logits(z, vocab_size=z.size) is z
+        assert z.dtype == dtype and z.tobytes() == before
+    # Any other input comes back as a new float64 array.
+    for given in ([1, -2, 0], (1.5, 2.5), np.array([3, 4], dtype=np.int32)):
+        out = as_logits(given)
+        assert out.dtype == np.float64 and out is not given
+        assert np.array_equal(out, np.array(given, dtype=np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_narrow_floats_compute_as_their_float64_widening(dtype):
+    # Each function reads the narrow array itself; the result is bit-equal
+    # to the one for the widened copy.
+    info = np.finfo(dtype)
+    rng = np.random.default_rng(1)
+    vectors = [
+        np.array([info.max, -info.max, 0.0], dtype=dtype),
+        np.array([-0.0, info.smallest_subnormal, -info.smallest_subnormal], dtype=dtype),
+        *((rng.standard_normal(n) * rng.uniform(0.1, 20)).astype(dtype) for n in (2, 17, 4096)),
+    ]
+    for z in vectors:
+        wide = z.astype(np.float64)
+        h, lp = entropy_and_logprobs(z)
+        h_wide, lp_wide = entropy_and_logprobs(wide)
+        assert lp.dtype == np.float64 and lp.tobytes() == lp_wide.tobytes()
+        assert math.isfinite(h) and h == h_wide
+        assert shannon_entropy(z) == shannon_entropy(wide)
+        assert log_softmax(z).tobytes() == log_softmax(wide).tobytes()
 
 
 def test_as_logits_returns_a_float64_array_uncopied():

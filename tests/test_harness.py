@@ -12,6 +12,7 @@ from spreg.distributions import shannon_entropy
 from spreg.errors import ConfigError
 from spreg.harness import (
     BUILTIN_SCENARIOS,
+    DriftRegime,
     GroundTruth,
     LoopRegime,
     Scenario,
@@ -186,6 +187,21 @@ class TestGenerator:
         a, _ = generate(sc)
         b, _ = generate(replace(sc, seed=99))
         assert any(not np.array_equal(ra.logits, rb.logits) for ra, rb in zip(a, b))
+
+    @pytest.mark.parametrize("spikes", [(), (SpikeInjection(at_step=19, magnitude=3.0),)])
+    def test_drift_continues_from_the_base_target(self, spikes):
+        # A spike overlays the stable regime; the drift after it starts one
+        # slope above the stable target either way.
+        sc = stable_scenario(
+            length=30,
+            segments=(
+                StableRegime(steps=20, target_entropy=1.0),
+                DriftRegime(steps=10, slope=0.01),
+                *spikes,
+            ),
+        )
+        entropies = [shannon_entropy(r.logits) for r in generate(sc)[0]]
+        assert entropies[20:] == pytest.approx([1.0 + 0.01 * i for i in range(1, 11)], abs=1e-4)
 
     def test_stable_entropies_within_jitter(self):
         records, _ = generate(stable_scenario())

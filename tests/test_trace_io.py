@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 
@@ -481,6 +484,38 @@ class TestWireProtocol:
         assert np.array_equal(logits[4:], np.full(4, -np.finfo(np.float32).max, np.float32))
         assert np.array_equal(logits[:4], expected[:4].astype(np.float32))
         assert responses[-1]["kind"] == "summary"
+
+
+class TestConsoleStdin:
+    """``spreg serve --stdio`` reads the console's stdin as UTF-8, whatever the locale."""
+
+    @staticmethod
+    def serve(lines: list[bytes], encoding: str) -> list[dict]:
+        done = subprocess.run(
+            [sys.executable, "-m", "spreg", "serve", "--stdio"],
+            input=b"\n".join(lines) + b"\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": encoding},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        return [parse_response(line) for line in done.stdout.decode("ascii").splitlines()]
+
+    def test_a_line_that_is_not_utf8_gets_one_bad_frame(self):
+        init = json.dumps({"kind": "init", "vocab_size": 4}).encode()
+        finish = json.dumps({"kind": "finish"}).encode()
+        # A strict error handler is Python's default outside the C and POSIX locales.
+        responses = self.serve([b"\xff", b'{"kind": "\xff"}', init, finish], "utf-8:strict")
+        bad = {"kind": "error", "code": "bad_frame", "message": "frame is not valid UTF-8"}
+        assert responses[:3] == [bad, bad, {"kind": "ready"}]
+        assert len(responses) == 4 and responses[3]["kind"] == "summary"
+
+    def test_utf8_text_is_read_as_utf8_under_a_latin1_locale(self):
+        frame = json.dumps({"kind": "\u00e9"}, ensure_ascii=False).encode()
+        responses = self.serve([frame], "latin-1")
+        assert responses == [
+            {"kind": "error", "code": "bad_frame", "message": "unknown request kind '\u00e9'"}
+        ]
 
 
 # -- wire fault injection --------------------------------------------------------
