@@ -85,8 +85,11 @@ def _cmd_run(args) -> int:
     detector = config_from_dict(config, vocab_size=scenario.vocab_size).detector
     records, truth = generate(scenario, detector=detector)
     # Each record is written to the trace as it is generated, then run.
-    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
-        events, summary = replay_stream(trace_lines(records, fh), config)
+    try:
+        with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:
+            events, summary = replay_stream(trace_lines(records, fh), config)
+    except MemoryError as exc:
+        raise ConfigError(f"vocab_size {scenario.vocab_size} cannot be allocated: {exc}") from None
     metrics = evaluate(events, truth)
     if args.events:
         write_events(events, args.events)
@@ -107,10 +110,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    config = load_config_dict(args.config)
-    # Reject a bad file at startup; each init frame supplies the real vocab size.
-    config_from_dict(config, vocab_size=2)
-    return serve_stdio(config)
+    return serve_stdio(load_config_dict(args.config))
 
 
 def _cmd_analyze(args) -> int:

@@ -2,16 +2,18 @@
 
 ``config_from_dict`` is the only function that turns outside configuration
 (a ``--config`` file, ``serve --config`` or a wire ``init.config``) into a
-``ControllerConfig``. A dict it accepts builds a Controller that runs;
-anything else raises ``ConfigError`` naming the bad key or value. The
-whole config, its sections and the guidance table are read by one call to
+``ControllerConfig``. It is a pure function of its JSON value and opens no
+file. A dict it accepts builds a Controller that runs; anything else
+raises ``ConfigError`` naming the bad key or value. The whole config, its
+sections and the guidance table are read by one call to
 ``errors.read_fields``, which states the type rule (an unknown key is an
-error, any object may carry a ``doc`` entry, which is skipped), and inline
-patterns are read as ``PatternSet`` reads a pattern file. Apart from the
-``sys.maxsize`` bound on integers the gate checks types and finiteness,
-not size. The ``patterns`` entry may be null (packaged defaults), a path
-to a pattern file (resolved against the config file's directory), or an
-inline pattern object.
+error, any object may carry a ``doc`` entry, which is skipped), and the
+``patterns`` entry, null (packaged defaults) or a pattern object, is read
+by ``PatternSet``. Apart from the ``sys.maxsize`` bound on integers the
+gate checks types and finiteness, not size.
+
+A config *file* may instead name a pattern file by a path relative to the
+config file; ``load_config_dict`` reads it once, when it reads the config.
 """
 
 from __future__ import annotations
@@ -31,24 +33,19 @@ def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig
         checked_object(d, "config")
         if vocab_size is not None:
             d = {**d, "vocab_size": vocab_size}
-        patterns_spec = d.get("patterns")
-        if patterns_spec is None:
-            patterns = None
-        elif isinstance(patterns_spec, str):
-            patterns = PatternSet.from_file(patterns_spec)
-        elif isinstance(patterns_spec, dict):
-            patterns = PatternSet(patterns_spec)
-        else:
-            raise ValueError("patterns must be null, a path, or an inline object")
+        spec = d.get("patterns")
+        patterns = None if spec is None else PatternSet(spec)
         return read_fields(ControllerConfig, d, "config", patterns=patterns)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def load_config_dict(path: str | Path | None) -> dict:
-    """Read a config file to a dict, resolving a relative patterns path.
+    """Read a config file to a dict that ``config_from_dict`` takes.
 
-    No path reads as an empty config.
+    A ``patterns`` path is read relative to the config file and replaced by
+    the pattern object, so the dict needs no file afterwards. No path reads
+    as an empty config.
     """
     if path is None:
         return {}
@@ -58,5 +55,5 @@ def load_config_dict(path: str | Path | None) -> dict:
         raise ConfigError(f"config {path} must be a JSON object")
     patterns = payload.get("patterns")
     if isinstance(patterns, str):
-        payload["patterns"] = str((path.parent / patterns).resolve())
+        payload["patterns"] = read_json(path.parent / patterns, "pattern file")
     return payload

@@ -38,7 +38,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import Mapping
 
 from .errors import ConfigError, read_json, read_value
@@ -113,10 +112,6 @@ class PatternSet:
                     self._patterns.append((step, re.compile(cue)))
                 except re.error as exc:
                     raise ConfigError(f"bad regex cue for {step.value!r}: {cue!r} ({exc})") from exc
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PatternSet":
-        return cls(read_json(Path(path), "pattern file"))
 
     @classmethod
     @functools.cache

@@ -30,7 +30,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -208,18 +208,18 @@ def replay_stream(
 ) -> tuple[list[EventRecord], StreamSummary]:
     """Drive a fresh controller over (line number, record) pairs as they arrive.
 
-    ``config`` is checked before the first pair is drawn, so a bad one is a
-    ConfigError and never blamed on a line. The controller is built from it
-    and the first record's length; a record that it rejects, or whose length
-    it cannot take, raises TraceFormatError naming its line.
+    ``config`` is parsed once, before the first pair is drawn, so a bad one is
+    a ConfigError and never blamed on a line. The controller takes it with the
+    first record's length as its vocab size; a record that it rejects, or whose
+    length it cannot take, raises TraceFormatError naming its line.
     """
-    config_from_dict(config, vocab_size=2)
+    base = config_from_dict(config, vocab_size=2)
     controller: Controller | None = None
     events: list[EventRecord] = []
     for lineno, rec in numbered:
         try:
             if controller is None:
-                controller = Controller(config_from_dict(config, vocab_size=rec.logits.size))
+                controller = Controller(replace(base, vocab_size=rec.logits.size))
             events.append(_feed(controller, rec)[1])
         except (ConfigError, ProtocolError, ValueError) as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
@@ -293,10 +293,10 @@ def _error(code: str, message: str) -> dict:
 
 
 class _Session:
-    """Request dispatch for one stdio session."""
+    """Request dispatch for one stdio session, whose base config is parsed once."""
 
     def __init__(self, base_config: dict):
-        self.base_config = base_config
+        self.base = config_from_dict(base_config, vocab_size=2)  # init gives the vocab size
         self.controller: Controller | None = None
 
     def handle(self, msg: dict) -> dict:
@@ -319,8 +319,13 @@ class _Session:
         vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
         payload = msg.get("config")
         if payload is None:
-            payload = self.base_config
-        self.controller = Controller(config_from_dict(payload, vocab_size=vocab_size))
+            config = replace(self.base, vocab_size=vocab_size)
+        else:
+            config = config_from_dict(payload, vocab_size=vocab_size)
+        try:
+            self.controller = Controller(config)
+        except (MemoryError, ValueError) as exc:  # numpy cannot allocate the stream
+            raise ConfigError(f"vocab_size {vocab_size} cannot be allocated: {exc}") from None
         return {"kind": "ready"}
 
     def _step(self, msg: dict) -> dict:
@@ -344,13 +349,14 @@ def serve_stdio(
     """Run the request/response loop until a finish request or EOF.
 
     ``config`` is the config dict used when the init message carries no
-    config payload of its own. ``stdin`` is any iterable of text lines;
+    config payload of its own; it is parsed before the first line is read,
+    so a bad one raises ConfigError. ``stdin`` is any iterable of text lines;
     by default the console's stdin, read as UTF-8 whatever the locale.
     """
+    session = _Session(config or {})
     if stdin is None:  # a byte that is not UTF-8 becomes a lone surrogate
         stdin = io.TextIOWrapper(sys.stdin.buffer, "utf-8", "surrogateescape", newline="\n")
     stdout = stdout if stdout is not None else sys.stdout
-    session = _Session(config or {})
     for line in stdin:
         line = line.strip()
         if not line:

@@ -22,7 +22,7 @@ from spreg.harness import (
     SpikeInjection,
     StableRegime,
 )
-from spreg.plan_tracker import Cues, GuidanceTable, StepType
+from spreg.plan_tracker import Cues, GuidanceTable, PatternSet, StepType
 from spreg.repair import RepairParams
 from spreg.trace_io import read_events
 
@@ -111,8 +111,13 @@ class TestConfigLoading:
         }
         (tmp_path / "p.json").write_text(json.dumps(patterns))
         (tmp_path / "cfg.json").write_text(json.dumps({"vocab_size": 8, "patterns": "p.json"}))
-        cfg = config_from_dict(load_config_dict(tmp_path / "cfg.json"))
-        assert cfg.patterns is not None
+        payload = load_config_dict(tmp_path / "cfg.json")
+        (tmp_path / "p.json").unlink()
+        # The dict carries the patterns themselves; building the config opens no file.
+        cfg = config_from_dict(payload)
+        assert cfg.patterns._patterns == PatternSet(patterns)._patterns
+        with pytest.raises(ConfigError, match="patterns must be an object, got str"):
+            config_from_dict({"vocab_size": 8, "patterns": "p.json"})
 
     def test_default_file_documents_every_field(self):
         payload = packaged_default_config()
@@ -269,6 +274,16 @@ class TestCli:
     def test_unknown_scenario_exits_2(self, capsys):
         assert main(["run", "--scenario", "missing-thing"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unallocatable_scenario_vocab_exits_2(self, tmp_path, capsys):
+        # 10**15 float64 logits exceed any address space, so no host can allocate them.
+        scenario = tmp_path / "big.json"
+        segment = {"kind": "stable", "steps": 4, "target_entropy": 1.0}
+        scenario.write_text(json.dumps({"vocab_size": 10**15, "length": 4, "segments": [segment]}))
+        assert main(["run", "--scenario", str(scenario)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spreg: config error: vocab_size 1000000000000000 cannot be allocated")
+        assert err.count("\n") == 1
 
     def test_negative_seed_exits_2(self, capsys):
         assert main(["run", "--scenario", "stable", "--seed", "-1"]) == 2

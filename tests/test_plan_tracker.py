@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import oracle_last_match
+from spreg.config import config_from_dict, load_config_dict
 from spreg.errors import ConfigError
 from spreg.plan_tracker import _OVERLAP, GuidanceTable, PatternSet, PlanTracker, StepType
 
@@ -262,12 +263,16 @@ class TestPatternSet:
         assert PatternSet.default() is PatternSet.default()
 
     def test_load_from_file(self, tmp_path):
+        # A pattern file is named by a config file and read with it.
         spec = {s.value: {"keywords": [s.value], "regex_cues": []} for s in StepType}
-        path = tmp_path / "patterns.json"
-        path.write_text(json.dumps(spec))
-        assert classify_text(PatternSet.from_file(path), "observation!") is StepType.OBSERVATION
-        with pytest.raises(ConfigError):
-            PatternSet.from_file(tmp_path / "missing.json")
+        (tmp_path / "patterns.json").write_text(json.dumps(spec))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vocab_size": 8, "patterns": "patterns.json"}))
+        patterns = config_from_dict(load_config_dict(config)).patterns
+        assert classify_text(patterns, "observation!") is StepType.OBSERVATION
+        config.write_text(json.dumps({"vocab_size": 8, "patterns": "missing.json"}))
+        with pytest.raises(ConfigError, match="cannot load pattern file .*missing.json"):
+            load_config_dict(config)
 
 
 class TestGuidanceTable:

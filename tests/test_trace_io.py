@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreg.cli import main
-from spreg.config import config_from_dict
+from spreg.config import config_from_dict, load_config_dict
 from spreg.controller import ControllerConfig, Mode
-from spreg.errors import TraceFormatError
+from spreg.errors import ConfigError, TraceFormatError
 from spreg.harness import Scenario, StableRegime, SpikeInjection, generate
 from spreg.trace_io import (
     TraceRecord,
@@ -323,6 +324,8 @@ BAD_CONFIGS = [
     _pattern_config({"keywords": 5}),
     _pattern_config({"keywords": [5]}),
     {"detector_preset": "conservative"},
+    # A frame never makes spreg open a file, not even the packaged pattern file.
+    {"patterns": str(resources.files("spreg").joinpath("data").joinpath("patterns.json"))},
 ]
 
 
@@ -421,6 +424,54 @@ class TestWireProtocol:
         for config in BAD_CONFIGS:
             responses = run_wire([{"kind": "init", "vocab_size": 8, "config": config}])
             assert (responses[0]["kind"], responses[0]["code"]) == ("error", "config"), config
+
+    def test_an_unallocatable_init_leaves_the_stream_running(self):
+        records = random_records(2, vocab=8)
+        responses = run_wire(
+            [
+                {"kind": "init", "vocab_size": 8},
+                {"kind": "step", "record": json.loads(records[0].to_json())},
+                {"kind": "init", "vocab_size": 10**15},  # beyond any address space
+                {"kind": "step", "record": json.loads(records[1].to_json())},
+            ]
+        )
+        assert responses[0] == {"kind": "ready"}
+        assert responses[1]["kind"] == "directive"
+        assert (responses[2]["kind"], responses[2]["code"]) == ("error", "config")
+        assert (responses[3]["kind"], responses[3]["t"]) == ("directive", 1)
+
+    def test_served_pattern_file_is_read_once(self, tmp_path):
+        # Keywords the packaged patterns do not know, so the step type shows they apply.
+        patterns = tmp_path / "p.json"
+        step_types = ("reasoning", "action", "observation", "conclusion")
+        patterns.write_text(json.dumps({s: {"keywords": ["zz" + s]} for s in step_types}))
+        (tmp_path / "cfg.json").write_text(json.dumps({"patterns": "p.json"}))
+        init = json.dumps({"kind": "init", "vocab_size": 8})
+
+        def stdin():
+            yield init
+            patterns.unlink()
+            yield init
+            yield json.dumps(_step_frame(0, [0.0] * 8))
+            yield json.dumps({"kind": "sampled", "token_id": 1, "token_text": "zzaction"})
+            yield json.dumps(_step_frame(1, [0.0] * 8))
+
+        stdout = io.StringIO()
+        assert serve_stdio(load_config_dict(tmp_path / "cfg.json"), stdin(), stdout) == 0
+        responses = [parse_response(line) for line in stdout.getvalue().splitlines()]
+        assert responses[:2] == [{"kind": "ready"}] * 2
+        assert responses[4]["event"]["step_type"] == "action"
+
+    def test_bad_base_config_is_rejected_before_any_line_is_read(self):
+        read = []
+
+        def stdin():
+            read.append(True)
+            yield json.dumps({"kind": "init", "vocab_size": 8})
+
+        with pytest.raises(ConfigError, match="alpha"):
+            serve_stdio({"detector": {"alpha": -1}}, stdin=stdin(), stdout=io.StringIO())
+        assert read == []
 
     def test_init_vocab_size_must_be_an_integer(self):
         for vocab_size in (8.9, "8", True, None):
@@ -562,7 +613,7 @@ def _step_frame(t: int, logits: list) -> dict:
 # Each maps the step the session expects next to one bad frame.
 BAD_FRAMES = (
     [lambda t, c=c: {"kind": "init", "vocab_size": 8, "config": c} for c in BAD_CONFIGS]
-    + [lambda t, v=v: {"kind": "init", "vocab_size": v} for v in (8.9, "8")]
+    + [lambda t, v=v: {"kind": "init", "vocab_size": v} for v in (8.9, "8", 10**15)]
     + [
         lambda t: _step_frame(t, [float("nan")] * 8),
         lambda t: _step_frame(t, [0.0] * 9),
