@@ -24,11 +24,15 @@ array for the next one. The conditional is widened to float64 once (a
 float64 input is used as given), and that one array is both the entropy
 pass's input and a passthrough directive's logits. An intervened step
 writes its directive into the step's own conditional log-probs, which the
-pool never admits on such a step, and uses the workspace and the spent
-reference log-probs as the output entropy's buffers. The external
-reference is read in the host's dtype. No step writes into an array the
-host passed, and a directive's logits are never written after the step
-returns them.
+pool never admits on such a step. It builds its reference log-probs in
+the widened copy of a narrower input, which it no longer needs, with the
+workspace as scratch (a float64 input is the host's, so that step
+allocates them), and uses the workspace and the spent reference
+log-probs as the output entropy's buffers. So it allocates at most one
+|V| array more than a passthrough step, a guided repair's token weights.
+The external reference is read in the host's dtype. No step
+writes into an array the host passed, and a directive's logits are never
+written after the step returns them.
 """
 
 from __future__ import annotations
@@ -230,9 +234,12 @@ class Controller:
                 raise ProtocolError("step 0: no token can be reported before the first step")
             raise ProtocolError(f"step {t}: sampled token was already notified")
         vocab = self.config.vocab_size
-        cond = np.asarray(as_logits(cond_logits, vocab), dtype=np.float64)
+        logits = as_logits(cond_logits, vocab)
+        cond = np.asarray(logits, dtype=np.float64)
         ref = None if ref_logits is None else as_logits(ref_logits, vocab)
         entropy, cond_logprobs = entropy_and_logprobs(cond, work=self._work)
+        # A narrower input was widened into a new array, which this step owns.
+        spare = None if cond.dtype == logits.dtype else cond
 
         # Every input is valid; stream state changes only from here on.
         if inline_token:
@@ -246,7 +253,7 @@ class Controller:
 
         phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
         directive, lam, source, modified_entropy = self._repair(
-            cond, cond_logprobs, ref, entropy, mu, step_type, decision
+            cond, cond_logprobs, ref, entropy, mu, step_type, decision, spare
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
@@ -280,13 +287,15 @@ class Controller:
             return None
         return entropy_gradient([*prior, entropy])
 
-    def _reference(self, ref: np.ndarray | None) -> tuple[np.ndarray, ReferenceSource]:
-        """The step's reference log-probs, a new array, and where they came from."""
+    def _reference(
+        self, ref: np.ndarray | None, out: np.ndarray | None
+    ) -> tuple[np.ndarray, ReferenceSource]:
+        """The step's reference log-probs, written into ``out`` (a new array if
+        it is None), and where they came from."""
         if ref is not None:
-            return log_softmax(ref, work=self._work), ReferenceSource.EXTERNAL
-        if len(self._pool) > 0:
-            return self._pool.synthesize(), ReferenceSource.POOL
-        return self._pool.synthesize(), ReferenceSource.UNIFORM
+            return log_softmax(ref, out=out, work=self._work), ReferenceSource.EXTERNAL
+        source = ReferenceSource.POOL if len(self._pool) > 0 else ReferenceSource.UNIFORM
+        return self._pool.synthesize(out=out, work=self._work), source
 
     def _repair(
         self,
@@ -297,20 +306,23 @@ class Controller:
         mu: float | None,
         step_type: StepType,
         decision: Decision,
+        spare: np.ndarray | None,
     ) -> tuple[Directive, float | None, ReferenceSource, float | None]:
         """The directive, guidance scale, reference source and modified entropy of a step.
 
         A passthrough directive carries ``cond``. An intervened one is
         written into ``cond_logprobs``, which the pool admits only on
-        unintervened steps; the stream's workspace and the reference
-        log-probs, dead once the directive exists, are the output entropy's
-        buffers. Besides the workspace, at most four |V| arrays are live at
-        once, three for a float64 input.
+        unintervened steps, and its reference log-probs into ``spare``, the
+        widened conditional that no intervened directive carries (a new
+        array when ``spare`` is None, as for a float64 input); the stream's
+        workspace and the reference log-probs, dead once the directive
+        exists, are the output entropy's buffers. Besides the workspace, at
+        most three |V| arrays are live at once.
         """
         if decision.kind is DecisionKind.NO_ACTION:
             return Directive(logits=cond), None, ReferenceSource.NA, None
         params = self.config.repair
-        ref, source = self._reference(ref)
+        ref, source = self._reference(ref, out=spare)
         if decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
             lam = params.lambda_max
             out, temperature = aggressive_recover(

@@ -114,35 +114,41 @@ class ReferencePool:
 
     def record(self, logprobs: np.ndarray) -> bool:
         """Store a float32 copy of the distribution; True, as every offer is stored."""
-        # Cast, then clip the float32 row in place: clipping the float64
-        # input into a float32 ``out`` would take a |V|-sized cast buffer.
+        # Cast, then clip the float32 row in place, and only if a log-prob
+        # overflowed to -inf: clipping the float64 input into a float32
+        # ``out`` would take a |V|-sized cast buffer, and a float32 min
+        # costs a quarter of the clip.
         with np.errstate(over="ignore"):
             row = logprobs.astype(np.float32)
-        np.maximum(row, _FLOAT32_FLOOR, out=row)
+        if row.min() < _FLOAT32_FLOOR:
+            np.maximum(row, _FLOAT32_FLOOR, out=row)
         self._entries.append(row)
         return True
 
-    def synthesize(self) -> np.ndarray:
+    def synthesize(self, *, out=None, work=None) -> np.ndarray:
         """Aggregate stored distributions into one normalized log-prob vector.
 
         Averages the log-probabilities (the normalized geometric mean of
         the distributions); an empty pool falls back to uniform.
 
-        The oldest row is widened into one float64 buffer and the later
+        The oldest row is widened into the float64 ``out`` and the later
         rows are added to it in insertion order: that is the same sequence
         of float64 additions as numpy's axis-0 mean of the widened rows
         stacked, so the result is bit-identical to it without
-        materialising a capacity x |V| array. The result is a fresh array
-        the caller owns.
+        materialising a capacity x |V| array. ``out`` is allocated if it
+        is not given; ``work`` is the normalization's scratch buffer and
+        is overwritten.
         """
+        out = np.empty(self.vocab_size) if out is None else out
         if not self._entries:
-            return np.full(self.vocab_size, -math.log(self.vocab_size))
+            out.fill(-math.log(self.vocab_size))
+            return out
         rows = iter(self._entries)
-        total = next(rows).astype(np.float64)
+        np.copyto(out, next(rows))
         for row in rows:
-            total += row
-        total /= len(self._entries)
-        return log_softmax(total, out=total)
+            out += row
+        out /= len(self._entries)
+        return log_softmax(out, out=out, work=work)
 
 
 def adaptive_scale(

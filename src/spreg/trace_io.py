@@ -302,12 +302,13 @@ class _Session:
     def handle(self, msg: dict) -> dict:
         """Dispatch one request; every error a request can cause is answered here."""
         kind = msg.get("kind")
-        if kind not in ("init", "step", "sampled", "finish"):
+        handler = _HANDLERS.get(kind) if isinstance(kind, str) else None
+        if handler is None:
             return _error("bad_frame", f"unknown request kind {kind!r}")
         if kind != "init" and self.controller is None:
             return _error("not_initialized", f"send init before {kind}")
         try:
-            return getattr(self, "_" + kind)(msg)
+            return handler(self, msg)
         except ConfigError as exc:
             return _error("config", str(exc))
         except ProtocolError as exc:
@@ -329,7 +330,8 @@ class _Session:
         return {"kind": "ready"}
 
     def _step(self, msg: dict) -> dict:
-        rec = TraceRecord.from_dict(msg.get("record") or {})
+        # Popped, so the frame's boxed logit list dies before the step runs.
+        rec = TraceRecord.from_dict(msg.pop("record", None) or {})
         directive, event = _feed(self.controller, rec)
         return _directive_payload(rec.t, directive, event)
 
@@ -339,6 +341,17 @@ class _Session:
 
     def _finish(self, msg: dict) -> dict:
         return {"kind": "summary", **asdict(self.controller.finish())}
+
+
+# The handler of each request kind. Looking one up by a name built per
+# request ("_" + kind) would make a new string each time, and CPython's
+# attribute cache keeps a reference to each name string it is given.
+_HANDLERS = {
+    "init": _Session._init,
+    "step": _Session._step,
+    "sampled": _Session._sampled,
+    "finish": _Session._finish,
+}
 
 
 def serve_stdio(
@@ -358,24 +371,35 @@ def serve_stdio(
         stdin = io.TextIOWrapper(sys.stdin.buffer, "utf-8", "surrogateescape", newline="\n")
     stdout = stdout if stdout is not None else sys.stdout
     for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValueError("frame is not valid UTF-8") from None
-            msg = json.loads(line)
-            if not isinstance(msg, dict):
-                raise ValueError("frame must be a JSON object")
-        except (RecursionError, ValueError) as exc:
-            response = _error("bad_frame", str(exc))
-        else:
-            response = session.handle(msg)
-        stdout.write(_json_object(response) + "\n")
-        stdout.flush()
-        if response.get("kind") == "summary":
+        finished = _answer(session, line, stdout)
+        del line  # the frame's text must not stay bound while the next line is read
+        if finished:
             break
     return 0
+
+
+def _answer(session: _Session, line: str, stdout: TextIO) -> bool:
+    """Write the response to one request line; True once the session has finished.
+
+    The frame's text, its parsed object and the response die when this
+    returns, so between requests a session holds only its controller.
+    """
+    line = line.strip()
+    if not line:
+        return False
+    try:
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError("frame is not valid UTF-8") from None
+        msg = json.loads(line)
+        if not isinstance(msg, dict):
+            raise ValueError("frame must be a JSON object")
+    except (RecursionError, ValueError) as exc:
+        response = _error("bad_frame", str(exc))
+    else:
+        response = session.handle(msg)
+    stdout.write(_json_object(response) + "\n")
+    stdout.flush()
+    return response.get("kind") == "summary"

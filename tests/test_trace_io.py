@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -493,6 +494,79 @@ class TestWireProtocol:
             assert resp["intervened"] is False
             assert "logits" not in resp
             assert "temperature" not in resp
+
+    def test_an_idle_session_holds_only_its_controller(self):
+        vocab, capacity = 4096, 2
+        vector = 8 * vocab
+        rng = np.random.default_rng(7)
+
+        def frame(t: int, logits: np.ndarray) -> str:
+            return '{"kind":"step","record":' + TraceRecord(t=t, logits=logits).to_json() + "}"
+
+        def sharp() -> np.ndarray:
+            z = rng.standard_normal(vocab).astype(np.float32)
+            z[int(rng.integers(vocab))] += 12.0
+            return z
+
+        lines = [json.dumps({"kind": "init", "vocab_size": vocab})]
+        for t in range(120):
+            if t == 70:  # one logit too many: a bad_frame, and the host retries t
+                lines.append(frame(t, np.zeros(vocab + 1, dtype=np.float32)))
+            lines.append(frame(t, np.zeros(vocab, np.float32) if t % 40 == 20 else sharp()))
+        lines.append(json.dumps({"kind": "finish"}))
+
+        class Requests:
+            """The lines, noting the traced memory each time the next one is asked for."""
+
+            def __init__(self):
+                self.lines = iter(lines)
+                self.held = np.zeros(len(lines), dtype=np.int64)  # allocates nothing later
+                self.n = 0
+
+            def __iter__(self):
+                return self
+
+            def __next__(self) -> str:
+                gc.collect()  # also empties the interpreter's free lists
+                if self.n < len(lines):
+                    self.held[self.n] = tracemalloc.get_traced_memory()[0]
+                self.n += 1
+                return next(self.lines)
+
+        class Answers:
+            def __init__(self):
+                self.count: dict = {}
+
+            def write(self, text: str) -> None:
+                answer = json.loads(text)
+                key = (answer["kind"], answer.get("intervened"), answer.get("code"))
+                self.count[key] = self.count.get(key, 0) + 1
+
+            def flush(self) -> None:
+                pass
+
+        config = {"repair": {"pool_capacity": capacity}}
+        serve_stdio(config, stdin=iter(lines[:30]), stdout=Answers())  # fills module-level caches
+        requests, answers = Requests(), Answers()
+        tracemalloc.start()
+        try:
+            serve_stdio(config, stdin=requests, stdout=answers)
+        finally:
+            tracemalloc.stop()
+        assert answers.count.keys() == {
+            ("ready", None, None),
+            ("directive", False, None),
+            ("directive", True, None),
+            ("error", None, "bad_frame"),
+            ("summary", None, None),
+        }
+        # From the first step on, the session holds the controller that init
+        # built (its workspace among it) and the float32 rows its pool admits.
+        # A quarter vector covers the stream's Python objects; the last
+        # frame's text, its boxed floats or the last response would not fit.
+        assert requests.held[1] - requests.held[0] >= vector  # the workspace
+        retained = requests.held[2:].max() - requests.held[1]
+        assert retained <= capacity * 4 * vocab + 0.25 * vector, retained
 
     def test_wire_matches_offline_replay(self):
         sc = Scenario(
