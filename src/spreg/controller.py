@@ -18,18 +18,22 @@ runs only on intervened steps; low-entropy steps feed the reference pool
 own edits); finally the window absorbs the step's entropy. Unintervened
 steps pass the input logits through bit-identical.
 
-Buffers: the stream keeps one |V| float64 workspace, and the pool keeps a
-float32 copy of the log-probs it admits; a step keeps no other |V|-sized
-array for the next one. The conditional is widened to float64 once (a
-float64 input is used as given), and that one array is both the entropy
-pass's input and a passthrough directive's logits. An intervened step
-writes its directive into the step's own conditional log-probs, which the
-pool never admits on such a step. It builds its reference log-probs in
-the widened copy of a narrower input, which it no longer needs, with the
-workspace as scratch (a float64 input is the host's, so that step
-allocates them), and uses the workspace and the spent reference
-log-probs as the output entropy's buffers. So it allocates at most one
-|V| array more than a passthrough step, a guided repair's token weights.
+Buffers: the stream keeps one float64 workspace of min(|V|, BLOCK)
+entries, the scratch of every blocked reduction (see ``distributions``),
+and the pool keeps a float32 copy of the log-probs it admits; a step
+keeps no |V|-sized array for the next one. The conditional is widened to
+float64 once (a float64 input is used as given), and that one array is
+both the entropy pass's input and a passthrough directive's logits. The
+entropy pass leaves the step's shifted logits and their logsumexp. Only
+a step that uses the log-probs, a pool admission or an intervention,
+subtracts the logsumexp, in place; a passthrough step the pool does not
+admit skips that pass. An intervened step writes its directive into
+those log-probs, which the pool never admits on such a step. It builds
+its reference log-probs in the widened copy of a narrower input, which
+it no longer needs (a float64 input is the host's, so that step
+allocates them), and uses the spent reference log-probs as the output
+entropy's shifted buffer. So it allocates at most one |V| array more
+than a passthrough step, a guided repair's token weights.
 The external reference is read in the host's dtype. No step
 writes into an array the host passed, and a directive's logits are never
 written after the step returns them.
@@ -46,6 +50,7 @@ import numpy as np
 
 from .detector import Decision, DecisionKind, DetectorConfig, Phase, SpikeDetector
 from .distributions import (
+    BLOCK,
     as_logits,
     entropy_and_logprobs,
     log_softmax,
@@ -177,7 +182,10 @@ class Controller:
         self._detector = SpikeDetector(det)
         self._tracker = PlanTracker(config.patterns)
         self._pool = ReferencePool(config.vocab_size, capacity=config.repair.pool_capacity)
-        self._work = np.empty(config.vocab_size)
+        # A step holds |V|-sized arrays: a vocabulary no host can allocate
+        # is a config error here, not a failure of the first step.
+        np.empty(config.vocab_size)
+        self._work = np.empty(min(config.vocab_size, BLOCK))
         self._recent: list[int] = []
         self._next_t = 0
         self._awaiting_sample = False
@@ -237,7 +245,7 @@ class Controller:
         logits = as_logits(cond_logits, vocab)
         cond = np.asarray(logits, dtype=np.float64)
         ref = None if ref_logits is None else as_logits(ref_logits, vocab)
-        entropy, cond_logprobs = entropy_and_logprobs(cond, work=self._work)
+        entropy, shifted, lse = entropy_and_logprobs(cond, work=self._work)
         # A narrower input was widened into a new array, which this step owns.
         spare = None if cond.dtype == logits.dtype else cond
 
@@ -253,11 +261,11 @@ class Controller:
 
         phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
         directive, lam, source, modified_entropy = self._repair(
-            cond, cond_logprobs, ref, entropy, mu, step_type, decision, spare
+            cond, shifted, lse, ref, entropy, mu, step_type, decision, spare
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
-            self._pool.record(cond_logprobs)
+            self._pool.record(np.subtract(shifted, lse, out=shifted))
         self._window.push(entropy)
 
         event = EventRecord(
@@ -300,7 +308,8 @@ class Controller:
     def _repair(
         self,
         cond: np.ndarray,
-        cond_logprobs: np.ndarray,
+        shifted: np.ndarray,
+        lse: float,
         ref: np.ndarray | None,
         entropy: float,
         mu: float | None,
@@ -310,17 +319,19 @@ class Controller:
     ) -> tuple[Directive, float | None, ReferenceSource, float | None]:
         """The directive, guidance scale, reference source and modified entropy of a step.
 
-        A passthrough directive carries ``cond``. An intervened one is
-        written into ``cond_logprobs``, which the pool admits only on
-        unintervened steps, and its reference log-probs into ``spare``, the
-        widened conditional that no intervened directive carries (a new
-        array when ``spare`` is None, as for a float64 input); the stream's
-        workspace and the reference log-probs, dead once the directive
-        exists, are the output entropy's buffers. Besides the workspace, at
-        most three |V| arrays are live at once.
+        A passthrough directive carries ``cond`` and leaves ``shifted`` as
+        it is. An intervened one turns ``shifted`` into the conditional
+        log-probs by subtracting ``lse`` in place, and is written into
+        them: the pool admits only unintervened steps. Its reference
+        log-probs go into ``spare``, the widened conditional that no
+        intervened directive carries (a new array when ``spare`` is None,
+        as for a float64 input); they are dead once the directive exists,
+        and are the output entropy's shifted buffer. Besides the
+        workspace, at most three |V| arrays are live at once.
         """
         if decision.kind is DecisionKind.NO_ACTION:
             return Directive(logits=cond), None, ReferenceSource.NA, None
+        cond_logprobs = np.subtract(shifted, lse, out=shifted)
         params = self.config.repair
         ref, source = self._reference(ref, out=spare)
         if decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
@@ -340,7 +351,7 @@ class Controller:
             weights *= lam  # the extrapolation factor, scale * weights
             out = guided_logits(cond_logprobs, ref, weights, out=cond_logprobs)
             directive = Directive(logits=out, mode=Mode.REPAIR)
-        modified_entropy = shannon_entropy(out, shifted=self._work, work=ref)
+        modified_entropy = shannon_entropy(out, shifted=ref, work=self._work)
         return directive, lam, source, modified_entropy
 
     def finish(self) -> StreamSummary:

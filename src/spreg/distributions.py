@@ -10,6 +10,15 @@ keeps full relative precision even for sharply peaked distributions, and
 entries whose probability underflows to zero contribute exactly zero to
 the entropy (the p*log p limit convention).
 
+Every reduction over the vocabulary (the sums and the dot of the entropy
+and logsumexp) runs over blocks of ``BLOCK`` entries and adds the blocks'
+partial results in block order. So ``work`` needs only min(|V|, BLOCK)
+entries, and the result depends on the input alone: not on the size of a
+``work`` a caller passes, nor on the BLAS thread count, since OpenBLAS
+takes a dot of at most 10000 entries on the calling thread. At |V| <=
+BLOCK there is one block, and every result is bit-equal to the same
+reduction over the whole vector.
+
 Each computation is one public function. Its float64 buffers are optional
 keyword-only arguments (``out``, ``shifted``, ``work``); a buffer that is not
 given is allocated, and no function writes into its other arguments. The
@@ -34,6 +43,9 @@ __all__ = [
 # Added to every divisor that can be 0 (a flat window's sigma, a zero
 # window mean, a constant reference's spread) in the detector and repair rules.
 EPSILON = 1e-6
+
+# Entries per block of a reduction over the vocabulary; see the module docstring.
+BLOCK = 8192
 
 # The widest logit range (max - min) as_logits accepts. Together with the
 # caps on RepairParams it keeps every repair quantity finite; see ``repair``.
@@ -63,32 +75,56 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     return z
 
 
-def _peak_parts(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> float:
-    """Write the max-shifted logits into ``shifted`` and their exponentials
-    (argmax zeroed) into ``work``; return the rest mass, the sum of ``work``.
+def _blocks(a: np.ndarray, work: np.ndarray | None):
+    """Each BLOCK-entry block of ``a`` in order: its start, the block, and an
+    equally long view of the float64 ``work``.
 
-    The argmax exponential is exactly 1 and is removed so logsumexp can be
-    taken as log1p(rest) at full relative precision. ``z`` may be of any
-    float dtype; the subtraction is taken in float64, which is exactly the
-    difference of the widened values. ``shifted`` may be ``z`` itself;
-    ``work`` must be a third array.
+    ``work`` must hold at least min(a.size, BLOCK) entries; it is allocated
+    if it is None. A longer ``work`` changes nothing but which of its
+    entries are overwritten.
+    """
+    size = min(a.size, BLOCK)
+    if work is None:
+        work = np.empty(size)
+    elif work.size < size:
+        raise ValueError(f"work must hold at least {size} entries, got {work.size}")
+    for start in range(0, a.size, BLOCK):
+        block = a[start : start + BLOCK]
+        yield start, block, work[: block.size]
+
+
+def _peak_blocks(z: np.ndarray, shifted: np.ndarray, work: np.ndarray | None):
+    """Write z - max(z) into ``shifted``, then yield each block of it with
+    its exponentials, which are written into ``work``, the argmax's zeroed.
+
+    ``z`` may be of any float dtype; the subtraction is taken in float64,
+    which is exactly the difference of the widened values. ``shifted`` may
+    be ``z`` itself. The argmax exponential is exactly 1 and is removed so
+    logsumexp can be taken as log1p(rest) at full relative precision,
+    where rest is the sum of the others.
     """
     i = int(np.argmax(z))
     np.subtract(z, z[i], out=shifted, dtype=np.float64)
-    np.exp(shifted, out=work)
-    work[i] = 0.0
-    return float(work.sum())
+    for start, block, exp in _blocks(shifted, work):
+        np.exp(block, out=exp)
+        if start <= i < start + block.size:
+            exp[i - start] = 0.0
+        yield block, exp
 
 
-def _entropy_into(z: np.ndarray, shifted: np.ndarray, work: np.ndarray) -> tuple[float, float]:
-    """Entropy of softmax(z) and logsumexp(z) - max(z), using two float64 buffers.
+def _entropy_into(z: np.ndarray, shifted: np.ndarray, work) -> tuple[float, float]:
+    """Entropy of softmax(z) and logsumexp(z) - max(z).
 
-    ``shifted`` is left holding z - max(z); both buffers are overwritten.
+    ``shifted`` is left holding z - max(z); ``work`` is overwritten.
     """
-    rest = _peak_parts(z, shifted, work)
+    rest = dot = 0.0
+    for block, exp in _peak_blocks(z, shifted, work):
+        rest += float(exp.sum())
+        # The argmax term of the dot is zero by shift.
+        dot += float(np.dot(exp, block))
     lse = math.log1p(rest)
-    # H = lse - E[shifted]; the argmax term of the dot is zero by shift.
-    return lse - float(np.dot(work, shifted)) / (1.0 + rest), lse
+    # H = lse - E[shifted].
+    return lse - dot / (1.0 + rest), lse
 
 
 def log_softmax(logits, *, out=None, work=None) -> np.ndarray:
@@ -99,7 +135,9 @@ def log_softmax(logits, *, out=None, work=None) -> np.ndarray:
     """
     z = np.asarray(logits)
     out = np.empty(z.shape) if out is None else out
-    rest = _peak_parts(z, out, np.empty(z.shape) if work is None else work)
+    rest = 0.0
+    for _, exp in _peak_blocks(z, out, work):
+        rest += float(exp.sum())
     out -= math.log1p(rest)
     return out
 
@@ -108,19 +146,22 @@ def shannon_entropy(logits, *, shifted=None, work=None) -> float:
     """Entropy of softmax(logits), in nats; both buffers are overwritten."""
     z = np.asarray(logits)
     shifted = np.empty(z.shape) if shifted is None else shifted
-    return _entropy_into(z, shifted, np.empty(z.shape) if work is None else work)[0]
+    return _entropy_into(z, shifted, work)[0]
 
 
-def entropy_and_logprobs(logits, *, work=None) -> tuple[float, np.ndarray]:
-    """Entropy plus the normalized log-probabilities, sharing one pass.
+def entropy_and_logprobs(logits, *, work=None) -> tuple[float, np.ndarray, float]:
+    """Entropy plus the log-probabilities as ``shifted - lse``, sharing one pass.
 
-    The log-probs are a new array; ``work`` is overwritten.
+    Returns (entropy, shifted, lse): ``shifted`` is a new array holding
+    z - max(z), and ``lse`` is logsumexp(z) - max(z). The log-probs are
+    left unnormalized, so a caller that does not use them skips that |V|
+    pass; ``shifted - lse`` is bit-equal to ``log_softmax(logits)``.
+    ``work`` is overwritten.
     """
     z = np.asarray(logits)
-    logprobs = np.empty(z.shape)
-    h, lse = _entropy_into(z, logprobs, np.empty(z.shape) if work is None else work)
-    logprobs -= lse
-    return h, logprobs
+    shifted = np.empty(z.shape)
+    h, lse = _entropy_into(z, shifted, work)
+    return h, shifted, lse
 
 
 def normalized_entropy(entropy: float, vocab_size: int) -> float:

@@ -35,7 +35,9 @@ override returned to the host.
 
 Each computation is one public function. Its float64 buffers are optional
 keyword-only arguments (``out``, ``work``); a buffer that is not given is
-allocated, and no function writes into its other arguments.
+allocated, and no function writes into its other arguments. A ``work``
+buffer needs only min(|V|, BLOCK) entries, as reductions over the
+vocabulary run block by block (see ``distributions``).
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EPSILON, log_softmax
+from .distributions import EPSILON, _blocks, log_softmax
 from .errors import ConfigError
 from .plan_tracker import GuidanceTable, StepType
 
@@ -182,13 +184,14 @@ def token_weights(
     """
     ref = np.asarray(reference, dtype=np.float64)
     out = np.empty_like(ref)
-    work = np.empty_like(ref) if work is None else work
     np.subtract(ref, ref.mean(), out=out)
     # Second centering pass removes the float residue of the first, which
     # the small (sigma + EPSILON) divisor would otherwise amplify.
     out -= out.mean()
-    np.square(out, out=work)
-    sigma_ref = float(np.sqrt(np.mean(work)))
+    squares = 0.0
+    for _, block, square in _blocks(out, work):
+        squares += float(np.square(block, out=square).sum())
+    sigma_ref = math.sqrt(squares / out.size)
     out *= params.eta * normalized_entropy
     out /= sigma_ref + EPSILON
     out += 1.0

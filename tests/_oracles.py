@@ -40,19 +40,29 @@ def naive_slope(values) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def naive_log_softmax(logits) -> np.ndarray:
+    """Log-probabilities by an explicit max-shifted log-sum-exp, plain float64."""
+    z = np.asarray(logits, dtype=np.float64)
+    m = z.max()
+    return z - (m + np.log(np.exp(z - m).sum()))
+
+
+def naive_token_weights(reference, normalized_entropy: float, eta: float) -> np.ndarray:
+    """Guidance weights 1 + eta * H_norm * (ref - mean) / (std + 1e-6), in
+    extended precision, returned as float64."""
+    ref = np.asarray(reference, dtype=np.longdouble)
+    centered = ref - ref.mean()
+    std = np.sqrt((centered * centered).mean())
+    return (1 + eta * normalized_entropy * centered / (std + 1e-6)).astype(np.float64)
+
+
 def naive_cfg(cond, uncond, gamma: float) -> np.ndarray:
     """Fixed-scale classifier-free guidance in log-probability space.
 
     log p_hat = log p_uncond + gamma * (log p_cond - log p_uncond), with
-    each log-probability normalized by an explicit max-shifted log-sum-exp.
+    each log-probability normalized by ``naive_log_softmax``.
     """
-
-    def logprobs(z):
-        z = np.asarray(z, dtype=np.float64)
-        m = z.max()
-        return z - (m + np.log(np.exp(z - m).sum()))
-
-    lc, lu = logprobs(cond), logprobs(uncond)
+    lc, lu = naive_log_softmax(cond), naive_log_softmax(uncond)
     return lu + gamma * (lc - lu)
 
 

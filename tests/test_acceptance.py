@@ -52,7 +52,8 @@ def report(number: int, text: str) -> None:
 def test_01_entropy_oracle():
     rng = np.random.default_rng(101)
     # This thread's CPU time: a neighbour holding the core does not count
-    # against the bound, and neither do BLAS worker threads spinning.
+    # against the bound. The entropy's dots run in blocks that OpenBLAS
+    # keeps on this thread, so no BLAS worker adds to it either.
     start = time.thread_time()
     for size in (2, 16, 1024, 65536):
         for _ in range(1000):

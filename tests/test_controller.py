@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass, replace
 
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from spreg.config import config_from_dict
 from spreg.controller import Controller, ControllerConfig, EventRecord, Mode, ReferenceSource
 from spreg.detector import DetectorConfig
-from spreg.distributions import log_softmax, normalized_entropy, shannon_entropy
+from spreg.distributions import BLOCK, log_softmax, normalized_entropy, shannon_entropy
 from spreg.errors import ConfigError, ProtocolError
 from spreg.plan_tracker import StepType
 from spreg.repair import (
@@ -734,30 +737,75 @@ class TestStepNumerics:
         assert peaks[(Mode.REPAIR, ReferenceSource.EXTERNAL)] <= repair_bound * vector
         assert peaks[(Mode.REPAIR, ReferenceSource.POOL)] <= repair_bound * vector
 
-    def test_stream_retains_float32_pool_rows_and_one_workspace(self):
-        # Float64 pool rows would retain 32 * 8 * |V| bytes for the pool alone.
-        vocab, capacity = 4096, 32
+    def test_stream_retains_float32_pool_rows_and_one_block_of_workspace(self):
+        # Float64 pool rows would retain 2 * 8 * |V| bytes for the pool alone,
+        # and a |V|-sized workspace 8 * |V|.
+        vocab, capacity = 65536, 2
+        config = ControllerConfig(vocab_size=vocab, repair=RepairParams(pool_capacity=capacity))
         rng = np.random.default_rng(6)
         inputs = [
             (rng.standard_normal(vocab) * rng.uniform(0.5, 2)).astype(np.float32)
-            for _ in range(200)
+            for _ in range(40)
         ]
-        warm = Controller(ControllerConfig(vocab_size=vocab))  # fills module-level caches
-        for t, z in enumerate(inputs[:50]):
+        warm = Controller(config)  # fills module-level caches
+        for t, z in enumerate(inputs[:20]):
             warm.process_step(t, z)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ctrl = Controller(ControllerConfig(vocab_size=vocab))
+            ctrl = Controller(config)
             for t, z in enumerate(inputs):
                 ctrl.process_step(t, z)
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(ctrl._pool) == capacity
-        # Half a float64 vector covers the stream's Python objects, the
-        # rows' array headers among them.
-        assert retained <= capacity * 4 * vocab + 8 * vocab + 4 * vocab
+        assert ctrl._work.size == BLOCK
+        # 16 KB covers the stream's Python objects, the rows' array headers
+        # among them.
+        assert retained <= capacity * 4 * vocab + 8 * BLOCK + 16384
+
+
+# Process CPU time against this thread's, over 200 steps with no BLAS pin.
+_CPU_PROBE = """
+import resource, time
+import numpy as np
+from spreg import Controller, ControllerConfig
+vocab = 32768
+rng = np.random.default_rng(3)
+inputs = [(rng.standard_normal(vocab) * rng.uniform(0.5, 3.0)).astype(np.float32) for _ in range(25)]
+ctrl = Controller(ControllerConfig(vocab_size=vocab))
+for t in range(10):
+    ctrl.process_step(t, inputs[t])
+def process_cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+# An OpenBLAS worker spins for a while after it starts, at import. Wait
+# until it is idle: the process gains no CPU time while this thread sleeps.
+for _ in range(50):
+    idle = process_cpu()
+    time.sleep(0.1)
+    if process_cpu() - idle < 0.005:
+        break
+process0, thread0 = process_cpu(), time.thread_time()
+for t in range(10, 210):
+    ctrl.process_step(t, inputs[t % len(inputs)])
+print(process_cpu() - process0, time.thread_time() - thread0)
+"""
+
+
+def test_a_step_runs_on_the_calling_thread_alone():
+    # A whole-vector dot woke OpenBLAS worker threads, which spun after each
+    # call: the process spent about twice this thread's CPU time. On a 1-core
+    # runner OpenBLAS starts no worker, and this passes trivially.
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in pins}
+    done = subprocess.run(
+        [sys.executable, "-c", _CPU_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    process_s, thread_s = map(float, done.stdout.split())
+    assert process_s <= 1.2 * thread_s, (process_s, thread_s)
 
 
 class TestFiniteness:

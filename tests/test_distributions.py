@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spreg.distributions import (
+    BLOCK,
     as_logits,
     entropy_and_logprobs,
     log_softmax,
@@ -14,7 +18,7 @@ from spreg.distributions import (
     shannon_entropy,
 )
 
-from _oracles import naive_entropy
+from _oracles import naive_entropy, naive_log_softmax
 
 finite_logits = arrays(
     np.float64,
@@ -97,10 +101,11 @@ def test_narrow_floats_compute_as_their_float64_widening(dtype):
     ]
     for z in vectors:
         wide = z.astype(np.float64)
-        h, lp = entropy_and_logprobs(z)
-        h_wide, lp_wide = entropy_and_logprobs(wide)
-        assert lp.dtype == np.float64 and lp.tobytes() == lp_wide.tobytes()
-        assert math.isfinite(h) and h == h_wide
+        h, shifted, lse = entropy_and_logprobs(z)
+        h_wide, shifted_wide, lse_wide = entropy_and_logprobs(wide)
+        assert shifted.dtype == np.float64 and shifted.tobytes() == shifted_wide.tobytes()
+        assert math.isfinite(h) and h == h_wide and lse == lse_wide
+        assert (shifted - lse).tobytes() == log_softmax(wide).tobytes()
         assert shannon_entropy(z) == shannon_entropy(wide)
         assert log_softmax(z).tobytes() == log_softmax(wide).tobytes()
 
@@ -168,6 +173,71 @@ def test_entropy_oracle_large_vocab():
         h = shannon_entropy(z)
         ref = naive_entropy(z)
         assert abs(h - ref) <= 1e-9 * abs(ref)
+
+
+def ragged(vocab: int) -> np.ndarray:
+    """Logits whose argmax lies in the last block of a pass over ``vocab``."""
+    z = np.random.default_rng(vocab).standard_normal(vocab) * 3.0
+    z[-2] = z.max() + 4.0
+    return z
+
+
+@pytest.mark.parametrize("vocab", [BLOCK, 2 * BLOCK + 3])
+def test_blocked_passes_meet_the_oracles_whatever_work_is_given(vocab):
+    z = ragged(vocab)
+    h = shannon_entropy(z)
+    ref = naive_entropy(z)
+    assert abs(h - ref) <= 1e-9 * abs(ref)
+    lp = log_softmax(z)
+    assert np.allclose(lp, naive_log_softmax(z), rtol=0, atol=1e-9)
+    h_pass, shifted, lse = entropy_and_logprobs(z)
+    assert h_pass == h and (shifted - lse).tobytes() == lp.tobytes()
+    # A caller's work of one block or of |V| entries changes no bit.
+    for work in (np.empty(min(vocab, BLOCK)), np.empty(vocab)):
+        assert shannon_entropy(z, work=work) == h
+        assert log_softmax(z, work=work).tobytes() == lp.tobytes()
+        assert entropy_and_logprobs(z, work=work)[0] == h
+    with pytest.raises(ValueError, match="work"):
+        shannon_entropy(z, work=np.empty(min(vocab, BLOCK) - 1))
+
+
+# The same vectors, each entropy as hex and each log_softmax as a digest.
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from spreg.distributions import log_softmax, shannon_entropy
+rng = np.random.default_rng(17)
+for size in (32768, 131072):
+    for _ in range(20):
+        z = rng.standard_normal(size) * rng.uniform(0.25, 5.0)
+        print(shannon_entropy(z).hex(), hashlib.sha256(log_softmax(z).tobytes()).hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # A dot over the whole vector ran on two OpenBLAS threads and summed in
+    # another order: 22 of these 40 entropies differed in their last bits.
+    # On a 1-core host OpenBLAS runs one thread either way.
+    def probe(threads: int) -> list[str]:
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS")
+        }
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+        done = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    one = probe(1)
+    assert len(one) == 40
+    assert probe(2) == one
 
 
 def test_normalized_entropy():

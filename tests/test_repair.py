@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import spreg.controller
 import spreg.distributions
 import spreg.repair
-from spreg.distributions import log_softmax, shannon_entropy
+from spreg.distributions import BLOCK, log_softmax, shannon_entropy
 from spreg.errors import ConfigError
 from spreg.plan_tracker import GuidanceTable, StepType
 from spreg.repair import (
@@ -25,7 +25,8 @@ from spreg.repair import (
     token_weights,
 )
 
-from _oracles import oracle_pool_reference
+from _oracles import naive_token_weights, oracle_pool_reference
+from test_distributions import ragged
 
 PARAMS = RepairParams()
 TABLE = GuidanceTable()
@@ -228,6 +229,18 @@ class TestTokenWeights:
     def test_weights_center_on_one(self, ref, h_norm):
         w = token_weights(ref, h_norm, PARAMS)
         assert float(np.mean(w)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("vocab", [BLOCK, 2 * BLOCK + 3])
+def test_blocked_weights_meet_the_oracle_whatever_work_is_given(vocab):
+    ref = log_softmax(ragged(vocab))
+    weights = token_weights(ref, 0.6, PARAMS)
+    assert np.allclose(weights, naive_token_weights(ref, 0.6, PARAMS.eta), rtol=0, atol=1e-9)
+    # A caller's work of one block or of |V| entries changes no bit.
+    for work in (np.empty(min(vocab, BLOCK)), np.empty(vocab)):
+        assert token_weights(ref, 0.6, PARAMS, work=work).tobytes() == weights.tobytes()
+    with pytest.raises(ValueError, match="work"):
+        token_weights(ref, 0.6, PARAMS, work=np.empty(min(vocab, BLOCK) - 1))
 
 
 class TestGuidedLogits:
