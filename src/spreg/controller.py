@@ -227,8 +227,9 @@ class Controller:
     ) -> tuple[Directive, EventRecord]:
         """Consume one step's conditional logits and decide what to do.
 
-        ``token_id``/``token_text`` describe the token sampled at t-1 and
-        are ignored as duplicates if notify_sampled already reported it.
+        ``token_id``/``token_text`` describe the token sampled at t-1; a
+        token reported with step 0, or one notify_sampled already reported,
+        raises ProtocolError.
         ``ref_logits``, when given, is an externally computed reference
         distribution that takes precedence over the pool synthesis.
         """

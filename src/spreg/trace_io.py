@@ -335,10 +335,6 @@ class _Session:
         directive, event = _feed(self.controller, rec)
         return _directive_payload(rec.t, directive, event)
 
-    def _sampled(self, msg: dict) -> dict:
-        self.controller.notify_sampled(msg.get("token_id"), msg.get("token_text"))
-        return {"kind": "ready"}
-
     def _finish(self, msg: dict) -> dict:
         return {"kind": "summary", **asdict(self.controller.finish())}
 
@@ -349,7 +345,6 @@ class _Session:
 _HANDLERS = {
     "init": _Session._init,
     "step": _Session._step,
-    "sampled": _Session._sampled,
     "finish": _Session._finish,
 }
 

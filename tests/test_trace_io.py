@@ -390,25 +390,31 @@ class TestWireProtocol:
         assert responses[3]["kind"] == "directive"
         assert responses[4]["kind"] == "summary"
 
-    def test_sampled_flow_and_double_notify(self):
-        records = random_records(2, vocab=8)
+    def test_inline_token_rules(self):
+        first, second = (r.logits.tolist() for r in random_records(2, vocab=8))
         responses = run_wire(
             [
                 {"kind": "init", "vocab_size": 8},
-                {"kind": "step", "record": {"t": 0, "logits": records[0].logits.tolist()}},
-                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": 5},
-                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": 0},
-                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": []},
-                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": "hi"},
-                {"kind": "sampled", "t": 0, "token_id": 3, "token_text": "hi"},
+                _step_frame(0, first, token_id=3, token_text="hi"),  # no token precedes step 0
+                _step_frame(0, first),
+                _step_frame(1, second, token_id=3, token_text=5),
+                _step_frame(1, second, token_id=3, token_text=0),
+                _step_frame(1, second, token_id=3, token_text=[]),
+                _step_frame(1, second, token_id=3, token_text="hi"),
+                _sampled_frame(2),
                 {"kind": "finish"},
             ]
         )
-        assert responses[1]["kind"] == "directive"
-        assert [r["code"] for r in responses[2:5]] == ["bad_frame"] * 3
-        assert responses[5] == {"kind": "ready"}
-        assert responses[6]["code"] == "protocol"
-        assert responses[7]["kind"] == "summary"
+        assert responses[1]["code"] == "protocol"
+        assert responses[2]["kind"] == "directive"
+        assert [r["code"] for r in responses[3:6]] == ["bad_frame"] * 3
+        assert (responses[6]["kind"], responses[6]["t"]) == ("directive", 1)
+        assert responses[7] == {
+            "kind": "error",
+            "code": "bad_frame",
+            "message": "unknown request kind 'sampled'",
+        }
+        assert (responses[8]["kind"], responses[8]["total_steps"]) == ("summary", 2)
 
     def test_init_config_applies(self):
         responses = run_wire(
@@ -454,14 +460,13 @@ class TestWireProtocol:
             patterns.unlink()
             yield init
             yield json.dumps(_step_frame(0, [0.0] * 8))
-            yield json.dumps({"kind": "sampled", "token_id": 1, "token_text": "zzaction"})
-            yield json.dumps(_step_frame(1, [0.0] * 8))
+            yield json.dumps(_step_frame(1, [0.0] * 8, token_id=1, token_text="zzaction"))
 
         stdout = io.StringIO()
         assert serve_stdio(load_config_dict(tmp_path / "cfg.json"), stdin(), stdout) == 0
         responses = [parse_response(line) for line in stdout.getvalue().splitlines()]
         assert responses[:2] == [{"kind": "ready"}] * 2
-        assert responses[4]["event"]["step_type"] == "action"
+        assert responses[3]["event"]["step_type"] == "action"
 
     def test_bad_base_config_is_rejected_before_any_line_is_read(self):
         read = []
@@ -653,8 +658,8 @@ FAULT_CONFIG = {
 def fault_session_records() -> list[TraceRecord]:
     """60 steps at |V|=8 with repair and aggressive steps under FAULT_CONFIG.
 
-    Every sampled token is reported inline, so a ``sampled`` frame is
-    never valid in this session.
+    Every sampled token is reported inline with the next step, the one
+    way the wire takes it.
     """
     rng = np.random.default_rng(3)
     records = []
@@ -680,8 +685,13 @@ FAULT_FRAMES = (
 )
 
 
-def _step_frame(t: int, logits: list) -> dict:
-    return {"kind": "step", "record": {"t": t, "logits": logits}}
+def _step_frame(t: int, logits: list, **token) -> dict:
+    return {"kind": "step", "record": {"t": t, "logits": logits, **token}}
+
+
+def _sampled_frame(t: int) -> dict:
+    """A request kind the wire does not take: a token is reported with its step."""
+    return {"kind": "sampled", "token_id": 1, "token_text": "x"}
 
 
 # Each maps the step the session expects next to one bad frame.
@@ -698,25 +708,20 @@ BAD_FRAMES = (
         lambda t: _step_frame(t, [10**400] + [0.0] * 7),  # an int beyond float range
         lambda t: _step_frame(t, [1e39] + [0.0] * 7),  # beyond float32 range
     ]
-    + [
-        lambda t, v=v: {"kind": "sampled", "token_id": 1, "token_text": v}
-        for v in (5, 0, False, [], {})
-    ]
+    + [_sampled_frame]
 )
-# A non-integer ``t`` or ``token_id``; once the session is initialized,
-# each is answered with a ``bad_frame`` error.
-NON_INTEGER_FRAMES = (
+# A step record with a non-integer ``t`` or ``token_id``, or a ``token_text``
+# that is not a string; once the session is initialized, each is answered
+# with a ``bad_frame`` error.
+BAD_RECORD_FRAMES = (
     [lambda t, f=f: _step_frame(f(t), [0.0] * 8) for f in (float, lambda t: t + 0.9)]
     + [
-        lambda t, v=v: {
-            "kind": "step",
-            "record": {"t": t, "logits": [0.0] * 8, "token_id": v, "token_text": "x"},
-        }
+        lambda t, v=v: _step_frame(t, [0.0] * 8, token_id=v, token_text="x")
         for v in (2.7, True, "3")
     ]
     + [
-        lambda t, v=v: {"kind": "sampled", "token_id": v, "token_text": "x"}
-        for v in (2.7, True, "3")
+        lambda t, v=v: _step_frame(t, [0.0] * 8, token_id=1, token_text=v)
+        for v in (5, 0, False, [], {})
     ]
 )
 
@@ -727,7 +732,7 @@ class TestWireFaultInjection:
         faults=st.lists(
             st.tuples(
                 st.integers(0, len(FAULT_FRAMES) - 1),
-                st.sampled_from(BAD_FRAMES + NON_INTEGER_FRAMES),
+                st.sampled_from(BAD_FRAMES + BAD_RECORD_FRAMES),
             ),
             max_size=10,
         )
@@ -741,7 +746,8 @@ class TestWireFaultInjection:
         for p, valid in enumerate(FAULT_FRAMES):
             for q, make in faults:
                 if q == p:
-                    code = "bad_frame" if p > 0 and make in NON_INTEGER_FRAMES else ""
+                    bad = make is _sampled_frame or (p > 0 and make in BAD_RECORD_FRAMES)
+                    code = "bad_frame" if bad else ""
                     frames.append((code, make(max(p - 1, 0))))
             frames.append((None, valid))
         responses = run_wire([frame for _, frame in frames])
