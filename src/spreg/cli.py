@@ -81,9 +81,8 @@ def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    config = load_config_dict(args.config)
-    detector = config_from_dict(config, vocab_size=scenario.vocab_size).detector
-    records, truth = generate(scenario, detector=detector)
+    config = config_from_dict(load_config_dict(args.config), vocab_size=scenario.vocab_size)
+    records, truth = generate(scenario, detector=config.detector)
     # Each record is written to the trace as it is generated, then run.
     try:
         with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext() as fh:

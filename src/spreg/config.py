@@ -21,17 +21,19 @@ from __future__ import annotations
 from pathlib import Path
 
 from .controller import ControllerConfig
-from .errors import ConfigError, checked_object, read_fields, read_json
+from .errors import ConfigError, checked_object, read_fields, read_json, read_value
 from .plan_tracker import PatternSet
 
 __all__ = ["config_from_dict", "load_config_dict"]
 
 
 def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig:
-    """Build a ControllerConfig; ``vocab_size`` overrides the dict's own."""
+    """Build a ControllerConfig; ``vocab_size`` replaces the dict's own once it is type-checked."""
     try:
         checked_object(d, "config")
         if vocab_size is not None:
+            if "vocab_size" in d:
+                read_value(d["vocab_size"], int, "config.vocab_size")
             d = {**d, "vocab_size": vocab_size}
         spec = d.get("patterns")
         patterns = None if spec is None else PatternSet(spec)

@@ -52,6 +52,7 @@ from .detector import Decision, DecisionKind, DetectorConfig, Phase, SpikeDetect
 from .distributions import (
     BLOCK,
     as_logits,
+    check_vocab_size,
     entropy_and_logprobs,
     log_softmax,
     normalized_entropy,
@@ -182,9 +183,8 @@ class Controller:
         self._detector = SpikeDetector(det)
         self._tracker = PlanTracker(config.patterns)
         self._pool = ReferencePool(config.vocab_size, capacity=config.repair.pool_capacity)
-        # A step holds |V|-sized arrays: a vocabulary no host can allocate
-        # is a config error here, not a failure of the first step.
-        np.empty(config.vocab_size)
+        # A vocabulary numpy cannot allocate raises ConfigError here, for every host.
+        check_vocab_size(config.vocab_size)
         self._work = np.empty(min(config.vocab_size, BLOCK))
         self._recent: list[int] = []
         self._next_t = 0

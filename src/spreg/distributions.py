@@ -31,9 +31,12 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "EPSILON",
     "as_logits",
+    "check_vocab_size",
     "log_softmax",
     "shannon_entropy",
     "entropy_and_logprobs",
@@ -73,6 +76,14 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     if not float(z.max()) - float(z.min()) <= MAX_LOGIT_RANGE:
         raise ValueError(f"logits must be finite, with a range of at most {MAX_LOGIT_RANGE:g}")
     return z
+
+
+def check_vocab_size(vocab_size: int) -> None:
+    """Raise ConfigError unless numpy can allocate the |V|-sized float64 arrays of a step."""
+    try:
+        np.empty(vocab_size)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
+        raise ConfigError(f"vocab_size {vocab_size} cannot be allocated: {exc}") from None
 
 
 def _blocks(a: np.ndarray, work: np.ndarray | None):

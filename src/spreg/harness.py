@@ -32,7 +32,7 @@ import numpy as np
 
 from .controller import EventRecord
 from .detector import DetectorConfig
-from .distributions import shannon_entropy
+from .distributions import check_vocab_size, shannon_entropy
 from .errors import ConfigError, checked_object, read_fields, read_json
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
@@ -104,6 +104,7 @@ class Scenario:
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        check_vocab_size(self.vocab_size)
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")
         if self.seed < 0:

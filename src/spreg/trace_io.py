@@ -13,7 +13,7 @@ step costs O(1) bandwidth and the host reuses its own buffer.
 Reading a trace line or a wire frame only parses it: ``Controller.process_step``
 validates every step, in-process, on the wire and from a file. ``replay_stream``
 is the one offline driver: it feeds each numbered record to the controller as
-it arrives, so its memory does not grow with the length of the stream.
+it arrives, so it keeps one event row per record and no record's logits.
 ``replay_trace`` hands it the lines of a trace file as they are parsed, and
 ``spreg run`` the generated records, each written by ``trace_lines`` as the
 next line of its trace.
@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .config import config_from_dict
-from .controller import Controller, Directive, EventRecord, StreamSummary
+from .controller import Controller, ControllerConfig, Directive, EventRecord, StreamSummary
 from .errors import ConfigError, ProtocolError, TraceFormatError, checked_int
 
 __all__ = [
@@ -204,22 +204,20 @@ def export_csv(events: Iterable[EventRecord], path_or_file) -> int:
 
 
 def replay_stream(
-    numbered: Iterable[tuple[int, TraceRecord]], config: dict
+    numbered: Iterable[tuple[int, TraceRecord]], config: ControllerConfig
 ) -> tuple[list[EventRecord], StreamSummary]:
     """Drive a fresh controller over (line number, record) pairs as they arrive.
 
-    ``config`` is parsed once, before the first pair is drawn, so a bad one is
-    a ConfigError and never blamed on a line. The controller takes it with the
-    first record's length as its vocab size; a record that it rejects, or whose
-    length it cannot take, raises TraceFormatError naming its line.
+    The controller takes ``config`` with the first record's length as its
+    vocab size; a record that it rejects, or whose length it cannot take,
+    raises TraceFormatError naming its line.
     """
-    base = config_from_dict(config, vocab_size=2)
     controller: Controller | None = None
     events: list[EventRecord] = []
     for lineno, rec in numbered:
         try:
             if controller is None:
-                controller = Controller(replace(base, vocab_size=rec.logits.size))
+                controller = Controller(replace(config, vocab_size=rec.logits.size))
             events.append(_feed(controller, rec)[1])
         except (ConfigError, ProtocolError, ValueError) as exc:
             raise TraceFormatError(str(exc), line=lineno) from exc
@@ -229,9 +227,10 @@ def replay_stream(
 
 
 def replay_trace(path_or_file, config: dict) -> tuple[list[EventRecord], StreamSummary]:
-    """Replay a JSONL trace one record at a time, as it is read."""
+    """Replay a JSONL trace one record at a time, as it is read; ``config`` is parsed first."""
     with _opened(path_or_file, "r") as fh:
-        return replay_stream(_jsonl(fh, TraceRecord.from_dict), config)
+        base = config_from_dict(config, vocab_size=2)  # the first record gives the vocab size
+        return replay_stream(_jsonl(fh, TraceRecord.from_dict), base)
 
 
 def _feed(controller: Controller, rec: TraceRecord) -> tuple[Directive, EventRecord]:
@@ -300,53 +299,34 @@ class _Session:
         self.controller: Controller | None = None
 
     def handle(self, msg: dict) -> dict:
-        """Dispatch one request; every error a request can cause is answered here."""
+        """Answer one request; every error a request can cause is answered here."""
         kind = msg.get("kind")
-        handler = _HANDLERS.get(kind) if isinstance(kind, str) else None
-        if handler is None:
+        if kind not in ("init", "step", "finish"):
             return _error("bad_frame", f"unknown request kind {kind!r}")
         if kind != "init" and self.controller is None:
             return _error("not_initialized", f"send init before {kind}")
         try:
-            return handler(self, msg)
+            if kind == "init":
+                vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
+                payload = msg.get("config")
+                if payload is None:
+                    config = replace(self.base, vocab_size=vocab_size)
+                else:
+                    config = config_from_dict(payload, vocab_size=vocab_size)
+                self.controller = Controller(config)
+                return {"kind": "ready"}
+            if kind == "step":
+                # Popped, so the frame's boxed logit list dies before the step runs.
+                rec = TraceRecord.from_dict(msg.pop("record", None) or {})
+                directive, event = _feed(self.controller, rec)
+                return _directive_payload(rec.t, directive, event)
+            return {"kind": "summary", **asdict(self.controller.finish())}
         except ConfigError as exc:
             return _error("config", str(exc))
         except ProtocolError as exc:
             return _error("protocol", str(exc))
         except ValueError as exc:
             return _error("bad_frame", str(exc))
-
-    def _init(self, msg: dict) -> dict:
-        vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
-        payload = msg.get("config")
-        if payload is None:
-            config = replace(self.base, vocab_size=vocab_size)
-        else:
-            config = config_from_dict(payload, vocab_size=vocab_size)
-        try:
-            self.controller = Controller(config)
-        except (MemoryError, ValueError) as exc:  # numpy cannot allocate the stream
-            raise ConfigError(f"vocab_size {vocab_size} cannot be allocated: {exc}") from None
-        return {"kind": "ready"}
-
-    def _step(self, msg: dict) -> dict:
-        # Popped, so the frame's boxed logit list dies before the step runs.
-        rec = TraceRecord.from_dict(msg.pop("record", None) or {})
-        directive, event = _feed(self.controller, rec)
-        return _directive_payload(rec.t, directive, event)
-
-    def _finish(self, msg: dict) -> dict:
-        return {"kind": "summary", **asdict(self.controller.finish())}
-
-
-# The handler of each request kind. Looking one up by a name built per
-# request ("_" + kind) would make a new string each time, and CPython's
-# attribute cache keeps a reference to each name string it is given.
-_HANDLERS = {
-    "init": _Session._init,
-    "step": _Session._step,
-    "finish": _Session._finish,
-}
 
 
 def serve_stdio(

@@ -276,14 +276,17 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_unallocatable_scenario_vocab_exits_2(self, tmp_path, capsys):
-        # 10**15 float64 logits exceed any address space, so no host can allocate them.
+        # 10**15 float64 logits exceed any address space, so no host can allocate
+        # them; 2**62 passes the type rule's sys.maxsize bound but not numpy's size.
         scenario = tmp_path / "big.json"
         segment = {"kind": "stable", "steps": 4, "target_entropy": 1.0}
-        scenario.write_text(json.dumps({"vocab_size": 10**15, "length": 4, "segments": [segment]}))
-        assert main(["run", "--scenario", str(scenario)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("spreg: config error: vocab_size 1000000000000000 cannot be allocated")
-        assert err.count("\n") == 1
+        for vocab in (10**15, 2**62):
+            body = {"vocab_size": vocab, "length": 4, "segments": [segment]}
+            scenario.write_text(json.dumps(body))
+            assert main(["run", "--scenario", str(scenario)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"spreg: config error: vocab_size {vocab} cannot be allocated")
+            assert err.count("\n") == 1
 
     def test_negative_seed_exits_2(self, capsys):
         assert main(["run", "--scenario", "stable", "--seed", "-1"]) == 2
@@ -316,6 +319,11 @@ class TestCli:
         # serve checks its base config at startup, before reading any frame.
         assert main(["serve", "--stdio", "--config", str(bad)]) == 2
         assert "detector.window" in capsys.readouterr().err
+        # The scenario's vocab_size replaces the config's, which the type rule still reads.
+        bad.write_text(json.dumps({"vocab_size": "x"}))
+        assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        err = "spreg: config error: config.vocab_size must be an integer, got 'x'\n"
+        assert capsys.readouterr() == ("", err)
         patterns = {s.value: {"keywords": [s.value]} for s in StepType}
         patterns["observation"]["regex_cue"] = ["=>"]
         bad.write_text(json.dumps({"patterns": patterns}))
@@ -427,7 +435,7 @@ class TestCli:
                 {"kind": "stable", "steps": 30, "target_entropy": 1.0, "jitter": 0.05}
             ],
         }
-        cfg = {"detector": {"t_warm": 10}}
+        cfg = {"vocab_size": 9, "detector": {"t_warm": 10}}  # an integer vocab_size is ignored
         (tmp_path / "sc.json").write_text(json.dumps(scenario))
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         code = main(

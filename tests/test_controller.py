@@ -90,6 +90,12 @@ class TestLifecycle:
         with pytest.raises(ConfigError):
             Controller({"vocab_size": 4})
 
+    @pytest.mark.parametrize("vocab", [10**15, 2**62])
+    def test_unallocatable_vocab_is_a_config_error(self, vocab):
+        # numpy raises MemoryError at 10**15 and ValueError at 2**62.
+        with pytest.raises(ConfigError, match=f"vocab_size {vocab} cannot be allocated"):
+            Controller(ControllerConfig(vocab_size=vocab))
+
 
 class TestFailedStep:
     """A step that raises changes no stream state, so the host can retry its t."""

@@ -325,6 +325,7 @@ BAD_CONFIGS = [
     _pattern_config({"keywords": 5}),
     _pattern_config({"keywords": [5]}),
     {"detector_preset": "conservative"},
+    {"vocab_size": "x"},  # replaced by init's vocab_size, but type-checked first
     # A frame never makes spreg open a file, not even the packaged pattern file.
     {"patterns": str(resources.files("spreg").joinpath("data").joinpath("patterns.json"))},
 ]
@@ -433,19 +434,23 @@ class TestWireProtocol:
             assert (responses[0]["kind"], responses[0]["code"]) == ("error", "config"), config
 
     def test_an_unallocatable_init_leaves_the_stream_running(self):
-        records = random_records(2, vocab=8)
+        records = random_records(3, vocab=8)
         responses = run_wire(
             [
                 {"kind": "init", "vocab_size": 8},
                 {"kind": "step", "record": json.loads(records[0].to_json())},
                 {"kind": "init", "vocab_size": 10**15},  # beyond any address space
                 {"kind": "step", "record": json.loads(records[1].to_json())},
+                {"kind": "init", "vocab_size": 2**62},  # beyond numpy's largest array
+                {"kind": "step", "record": json.loads(records[2].to_json())},
             ]
         )
         assert responses[0] == {"kind": "ready"}
         assert responses[1]["kind"] == "directive"
-        assert (responses[2]["kind"], responses[2]["code"]) == ("error", "config")
-        assert (responses[3]["kind"], responses[3]["t"]) == ("directive", 1)
+        for i, vocab in ((2, 10**15), (4, 2**62)):
+            assert (responses[i]["kind"], responses[i]["code"]) == ("error", "config")
+            assert responses[i]["message"].startswith(f"vocab_size {vocab} cannot be allocated: ")
+            assert (responses[i + 1]["kind"], responses[i + 1]["t"]) == ("directive", i // 2)
 
     def test_served_pattern_file_is_read_once(self, tmp_path):
         # Keywords the packaged patterns do not know, so the step type shows they apply.
@@ -697,7 +702,7 @@ def _sampled_frame(t: int) -> dict:
 # Each maps the step the session expects next to one bad frame.
 BAD_FRAMES = (
     [lambda t, c=c: {"kind": "init", "vocab_size": 8, "config": c} for c in BAD_CONFIGS]
-    + [lambda t, v=v: {"kind": "init", "vocab_size": v} for v in (8.9, "8", 10**15)]
+    + [lambda t, v=v: {"kind": "init", "vocab_size": v} for v in (8.9, "8", 10**15, 2**62)]
     + [
         lambda t: _step_frame(t, [float("nan")] * 8),
         lambda t: _step_frame(t, [0.0] * 9),
