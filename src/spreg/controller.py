@@ -20,23 +20,22 @@ steps pass the input logits through bit-identical.
 
 Buffers: the stream keeps one float64 workspace of min(|V|, BLOCK)
 entries, the scratch of every blocked reduction (see ``distributions``),
-and the pool keeps a float32 copy of the log-probs it admits; a step
+and the pool keeps a float32 copy of the shifted logits it admits; a step
 keeps no |V|-sized array for the next one. The conditional is widened to
 float64 once (a float64 input is used as given), and that one array is
 both the entropy pass's input and a passthrough directive's logits. The
-entropy pass leaves the step's shifted logits and their logsumexp. Only
-a step that uses the log-probs, a pool admission or an intervention,
-subtracts the logsumexp, in place; a passthrough step the pool does not
-admit skips that pass. An intervened step writes its directive into
-those log-probs, which the pool never admits on such a step. It builds
-its reference log-probs in the widened copy of a narrower input, which
-it no longer needs (a float64 input is the host's, so that step
-allocates them), and uses the spent reference log-probs as the output
-entropy's shifted buffer. So it allocates at most one |V| array more
-than a passthrough step, a guided repair's token weights.
-The external reference is read in the host's dtype. No step
-writes into an array the host passed, and a directive's logits are never
-written after the step returns them.
+entropy pass leaves the step's shifted logits, z - max(z), and their
+logsumexp. The pool admits the shifted logits as they are, since its
+reference normalizes their mean. Only an intervened step subtracts the
+logsumexp, in place, and writes its directive into those log-probs,
+which the pool never admits on such a step. It builds its reference
+log-probs in the widened copy of a narrower input, which it no longer
+needs (a float64 input is the host's, so that step allocates them), and
+uses the spent reference log-probs as the output entropy's shifted
+buffer. So it allocates at most one |V| array more than a passthrough
+step, a guided repair's token weights. The external reference is read in
+the host's dtype. No step writes into an array the host passed, and a
+directive's logits are never written after the step returns them.
 """
 
 from __future__ import annotations
@@ -102,8 +101,7 @@ class ControllerConfig:
     patterns: PatternSet | None = None
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
+        check_vocab_size(self.vocab_size)
 
 
 @dataclass(frozen=True)
@@ -183,8 +181,6 @@ class Controller:
         self._detector = SpikeDetector(det)
         self._tracker = PlanTracker(config.patterns)
         self._pool = ReferencePool(config.vocab_size, capacity=config.repair.pool_capacity)
-        # A vocabulary numpy cannot allocate raises ConfigError here, for every host.
-        check_vocab_size(config.vocab_size)
         self._work = np.empty(min(config.vocab_size, BLOCK))
         self._recent: list[int] = []
         self._next_t = 0
@@ -266,7 +262,7 @@ class Controller:
         )
 
         if not directive.intervened and mu is not None and entropy < mu:
-            self._pool.record(np.subtract(shifted, lse, out=shifted))
+            self._pool.record(shifted)
         self._window.push(entropy)
 
         event = EventRecord(
@@ -320,15 +316,16 @@ class Controller:
     ) -> tuple[Directive, float | None, ReferenceSource, float | None]:
         """The directive, guidance scale, reference source and modified entropy of a step.
 
-        A passthrough directive carries ``cond`` and leaves ``shifted`` as
-        it is. An intervened one turns ``shifted`` into the conditional
-        log-probs by subtracting ``lse`` in place, and is written into
-        them: the pool admits only unintervened steps. Its reference
-        log-probs go into ``spare``, the widened conditional that no
-        intervened directive carries (a new array when ``spare`` is None,
-        as for a float64 input); they are dead once the directive exists,
-        and are the output entropy's shifted buffer. Besides the
-        workspace, at most three |V| arrays are live at once.
+        A passthrough directive carries ``cond`` and leaves ``shifted``, the
+        row the pool may admit, as it is. An intervened one turns
+        ``shifted`` into the conditional log-probs by subtracting ``lse``
+        in place, and is written into them: the pool admits only
+        unintervened steps. Its reference log-probs go into ``spare``, the
+        widened conditional that no intervened directive carries (a new
+        array when ``spare`` is None, as for a float64 input); they are
+        dead once the directive exists, and are the output entropy's
+        shifted buffer. Besides the workspace, at most three |V| arrays
+        are live at once.
         """
         if decision.kind is DecisionKind.NO_ACTION:
             return Directive(logits=cond), None, ReferenceSource.NA, None

@@ -102,8 +102,6 @@ class Scenario:
     segments: tuple = ()
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
         check_vocab_size(self.vocab_size)
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")

@@ -49,12 +49,8 @@ class EntropyWindow:
         """
         return self._mu, self._sigma
 
-    def tail(self, count: int | None = None) -> tuple[float, ...]:
-        """The most recent pushed values (up to ``count`` of them)."""
-        if count is None:
-            return tuple(self._tail)
-        if count <= 0:
-            return ()
+    def tail(self, count: int) -> tuple[float, ...]:
+        """The most recent pushed values, up to ``count`` >= 1 of them."""
         return tuple(self._tail)[-count:]
 
 

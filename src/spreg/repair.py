@@ -8,10 +8,10 @@ from a reference distribution in log-softmax space,
 with a per-token weight vector derived from the standardized reference
 log-probs. The reference comes from an externally supplied distribution
 when available, otherwise it is synthesized from a pool of low-entropy
-historical distributions, falling back to uniform. The pool stores each
-row as float32, with log-probs below float32's range clipped to
-``-finfo(float32).max`` (probability 0 either way), and synthesizes the
-reference in float64; all arithmetic here is float64.
+historical steps, falling back to uniform. The pool stores each step's
+logits minus their max as a float32 row, with values below float32's
+range clipped to ``-finfo(float32).max`` (probability 0 either way), and
+synthesizes the reference in float64; all arithmetic here is float64.
 
 Precondition: the conditional and reference vectors passed in here are
 finite, normalized float64 log-probs (log_softmax output) of the stream's
@@ -95,16 +95,17 @@ class RepairParams:
 
 
 class ReferencePool:
-    """Bounded store of low-entropy historical log-prob distributions.
+    """Bounded store of low-entropy historical distributions.
 
-    The controller decides what is admitted (unintervened steps whose
-    entropy is below the window mean); the oldest entry is evicted at
-    capacity. One pool belongs to one stream.
+    The controller admits unintervened steps whose entropy is below the
+    window mean, each as its logits minus their max: a row is a
+    distribution's log-probs up to a constant. The oldest row is evicted
+    at capacity. One pool belongs to one stream.
 
     Rows are stored as float32, which halves the pool's memory; the
-    reference is synthesized from them in float64. A log-prob below
-    float32's range is stored as ``-finfo(float32).max``: its probability
-    is already 0, and the row stays finite.
+    reference is synthesized from them in float64. A value below
+    float32's range is stored as ``-finfo(float32).max``: in a row whose
+    max is 0 its probability is already 0, and the row stays finite.
     """
 
     def __init__(self, vocab_size: int, capacity: int = 32):
@@ -114,14 +115,14 @@ class ReferencePool:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def record(self, logprobs: np.ndarray) -> bool:
-        """Store a float32 copy of the distribution; True, as every offer is stored."""
-        # Cast, then clip the float32 row in place, and only if a log-prob
+    def record(self, logits: np.ndarray) -> bool:
+        """Store a float32 copy of the logit row; True, as every offer is stored."""
+        # Cast, then clip the float32 row in place, and only if a value
         # overflowed to -inf: clipping the float64 input into a float32
         # ``out`` would take a |V|-sized cast buffer, and a float32 min
         # costs a quarter of the clip.
         with np.errstate(over="ignore"):
-            row = logprobs.astype(np.float32)
+            row = logits.astype(np.float32)
         if row.min() < _FLOAT32_FLOOR:
             np.maximum(row, _FLOAT32_FLOOR, out=row)
         self._entries.append(row)
@@ -130,8 +131,9 @@ class ReferencePool:
     def synthesize(self, *, out=None, work=None) -> np.ndarray:
         """Aggregate stored distributions into one normalized log-prob vector.
 
-        Averages the log-probabilities (the normalized geometric mean of
-        the distributions); an empty pool falls back to uniform.
+        Normalizes the mean of the rows, the normalized geometric mean of
+        the distributions: a row's constant only shifts the mean, which
+        log_softmax ignores. An empty pool falls back to uniform.
 
         The oldest row is widened into the float64 ``out`` and the later
         rows are added to it in insertion order: that is the same sequence

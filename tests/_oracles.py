@@ -66,14 +66,16 @@ def naive_cfg(cond, uncond, gamma: float) -> np.ndarray:
     return lu + gamma * (lc - lu)
 
 
-def oracle_pool_row(logprobs) -> np.ndarray:
-    """A log-prob row as the pool stores it, widened back to float64.
+def oracle_pool_row(row) -> np.ndarray:
+    """A row as the pool stores it, widened back to float64.
 
-    Each value is rounded to float32; one below float32's range (which
-    would round to -inf) becomes ``-finfo(float32).max``.
+    A row is a distribution's log-probs up to any per-row constant, such
+    as the logits minus their max. Each value is rounded to float32; one
+    below float32's range (which would round to -inf) becomes
+    ``-finfo(float32).max``.
     """
     with np.errstate(over="ignore"):
-        rounded = np.asarray(logprobs, dtype=np.float64).astype(np.float32)
+        rounded = np.asarray(row, dtype=np.float64).astype(np.float32)
     floor = -np.finfo(np.float32).max
     return np.where(rounded < floor, floor, rounded).astype(np.float64)
 
@@ -81,7 +83,8 @@ def oracle_pool_row(logprobs) -> np.ndarray:
 def oracle_pool_reference(entries, capacity: int) -> np.ndarray:
     """Reference of a pool that recorded ``entries`` in order.
 
-    ``entries`` is an (n, |V|) array of log-prob rows, n >= 0. The last
+    ``entries`` is an (n, |V|) array of rows, n >= 0, each a
+    distribution's log-probs up to any per-row constant. The last
     ``capacity`` rows are rounded as the pool stores them
     (``oracle_pool_row``), stacked, averaged over axis 0 and normalized;
     an empty pool is uniform.

