@@ -243,8 +243,6 @@ class Controller:
         cond = np.asarray(logits, dtype=np.float64)
         ref = None if ref_logits is None else as_logits(ref_logits, vocab)
         entropy, shifted, lse = entropy_and_logprobs(cond, work=self._work)
-        # A narrower input was widened into a new array, which this step owns.
-        spare = None if cond.dtype == logits.dtype else cond
 
         # Every input is valid; stream state changes only from here on.
         if inline_token:
@@ -253,16 +251,23 @@ class Controller:
         self._next_t += 1
 
         mu, sigma = self._window.stats()
-        gradient = self._gradient(entropy)
+        n = self.config.detector.n_grad
+        prior = self._window.tail(n - 1)
+        gradient = entropy_gradient([*prior, entropy]) if len(prior) == n - 1 else None
         step_type = self._tracker.classify()
 
         phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
-        directive, lam, source, modified_entropy = self._repair(
-            cond, shifted, lse, ref, entropy, mu, step_type, decision, spare
-        )
-
-        if not directive.intervened and mu is not None and entropy < mu:
-            self._pool.record(shifted)
+        if decision.kind is DecisionKind.NO_ACTION:
+            directive = Directive(logits=cond)
+            lam, source, modified_entropy = None, ReferenceSource.NA, None
+            if mu is not None and entropy < mu:
+                self._pool.record(shifted)
+        else:
+            # A narrower input was widened into a new array, which this step owns.
+            spare = None if cond.dtype == logits.dtype else cond
+            directive, lam, source, modified_entropy = self._repair(
+                shifted, lse, ref, entropy, mu, step_type, decision, spare
+            )
         self._window.push(entropy)
 
         event = EventRecord(
@@ -285,26 +290,8 @@ class Controller:
         self._awaiting_sample = True
         return directive, event
 
-    def _gradient(self, entropy: float) -> float | None:
-        n = self.config.detector.n_grad
-        prior = self._window.tail(n - 1)
-        if len(prior) < n - 1:
-            return None
-        return entropy_gradient([*prior, entropy])
-
-    def _reference(
-        self, ref: np.ndarray | None, out: np.ndarray | None
-    ) -> tuple[np.ndarray, ReferenceSource]:
-        """The step's reference log-probs, written into ``out`` (a new array if
-        it is None), and where they came from."""
-        if ref is not None:
-            return log_softmax(ref, out=out, work=self._work), ReferenceSource.EXTERNAL
-        source = ReferenceSource.POOL if len(self._pool) > 0 else ReferenceSource.UNIFORM
-        return self._pool.synthesize(out=out, work=self._work), source
-
     def _repair(
         self,
-        cond: np.ndarray,
         shifted: np.ndarray,
         lse: float,
         ref: np.ndarray | None,
@@ -314,24 +301,21 @@ class Controller:
         decision: Decision,
         spare: np.ndarray | None,
     ) -> tuple[Directive, float | None, ReferenceSource, float | None]:
-        """The directive, guidance scale, reference source and modified entropy of a step.
+        """The directive, guidance scale, reference source and modified entropy
+        of an intervened step.
 
-        A passthrough directive carries ``cond`` and leaves ``shifted``, the
-        row the pool may admit, as it is. An intervened one turns
-        ``shifted`` into the conditional log-probs by subtracting ``lse``
-        in place, and is written into them: the pool admits only
-        unintervened steps. Its reference log-probs go into ``spare``, the
-        widened conditional that no intervened directive carries (a new
-        array when ``spare`` is None, as for a float64 input); they are
-        dead once the directive exists, and are the output entropy's
-        shifted buffer. Besides the workspace, at most three |V| arrays
-        are live at once.
+        The directive is written into ``shifted``, made the conditional
+        log-probs in place. The reference log-probs go into ``spare`` (a new
+        array when it is None) and are then the output entropy's shifted
+        buffer.
         """
-        if decision.kind is DecisionKind.NO_ACTION:
-            return Directive(logits=cond), None, ReferenceSource.NA, None
         cond_logprobs = np.subtract(shifted, lse, out=shifted)
         params = self.config.repair
-        ref, source = self._reference(ref, out=spare)
+        if ref is not None:
+            ref, source = log_softmax(ref, out=spare, work=self._work), ReferenceSource.EXTERNAL
+        else:
+            source = ReferenceSource.POOL if len(self._pool) > 0 else ReferenceSource.UNIFORM
+            ref = self._pool.synthesize(out=spare, work=self._work)
         if decision.kind is DecisionKind.AGGRESSIVE_RECOVER:
             lam = params.lambda_max
             out, temperature = aggressive_recover(

@@ -11,7 +11,8 @@ event files, and the step index and sampled token of a stream.
 ``read_value`` from a JSON value to a type hint: a whole config with its
 sections and guidance table, a pattern file, scenarios and their
 segments, and event-file rows. Each field's JSON type is its type hint,
-so it is written once, in the dataclass.
+so it is written once, in the dataclass. ``check_integers`` applies the
+same integer rule to a config or scenario built in process.
 """
 
 from __future__ import annotations
@@ -108,6 +109,23 @@ def read_fields(cls, body, what: str, **given):
         elif f.name not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{what} requires {f.name}")
     return cls(**values)
+
+
+def check_integers(obj) -> None:
+    """Raise ConfigError unless each ``int`` field of the dataclass ``obj``,
+    and each entry of a ``tuple[int, ...]`` field, is an integer by the rule
+    of ``read_value``."""
+    kinds = _type_hints(type(obj))
+    try:
+        for f in fields(obj):
+            value, kind = getattr(obj, f.name), kinds[f.name]
+            if kind is int:
+                read_value(value, int, f.name)
+            elif kind == tuple[int, ...]:
+                for item in value:
+                    read_value(item, int, f.name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def read_value(value, kind, what: str):

@@ -33,7 +33,7 @@ import numpy as np
 from .controller import EventRecord
 from .detector import DetectorConfig
 from .distributions import check_vocab_size, shannon_entropy
-from .errors import ConfigError, checked_object, read_fields, read_json
+from .errors import ConfigError, check_integers, checked_object, read_fields, read_json
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
 
@@ -102,6 +102,8 @@ class Scenario:
     segments: tuple = ()
 
     def __post_init__(self):
+        for part in (self, *self.segments):
+            check_integers(part)
         check_vocab_size(self.vocab_size)
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")

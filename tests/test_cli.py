@@ -294,6 +294,12 @@ class TestCli:
         assert out == ""
         assert err == "spreg: config error: seed must be >= 0, got -1\n"
 
+    def test_seed_above_maxsize_exits_2(self, capsys):
+        # The same integer rule as a scenario file's seed.
+        assert main(["run", "--scenario", "stable", "--seed", str(sys.maxsize + 1)]) == 2
+        err = f"spreg: config error: seed must be at most {sys.maxsize}, got {sys.maxsize + 1}\n"
+        assert capsys.readouterr() == ("", err)
+
     def test_seed_option_changes_the_stream(self, tmp_path, capsys):
         traces = []
         for seed in ("1", "2"):
@@ -329,6 +335,13 @@ class TestCli:
         bad.write_text(json.dumps({"patterns": patterns}))
         assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
         assert "unknown patterns.observation keys: regex_cue" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert main(["run", "--scenario", "stable", "--config", str(bad)]) == 2
+        err = f"spreg: config error: config {bad} must be a JSON object\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_malformed_trace_exits_3(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"

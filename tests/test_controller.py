@@ -18,7 +18,7 @@ from spreg.controller import Controller, ControllerConfig, EventRecord, Mode, Re
 from spreg.detector import DetectorConfig
 from spreg.distributions import BLOCK, log_softmax, normalized_entropy, shannon_entropy
 from spreg.errors import ConfigError, ProtocolError
-from spreg.harness import Scenario
+from spreg.harness import DriftRegime, LoopRegime, Scenario, SpikeInjection, StableRegime
 from spreg.plan_tracker import StepType
 from spreg.repair import (
     MAX_GAIN,
@@ -107,6 +107,63 @@ class TestLifecycle:
             assert str(exc.value) == f"vocab_size must be an integer, got {vocab!r}"
         with pytest.raises(ConfigError, match="must be an integer"):
             replace(ControllerConfig(vocab_size=8), vocab_size=vocab)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (partial(DetectorConfig, c_high="5"), "c_high must be an integer, got '5'"),
+            (partial(DetectorConfig, t_cool=2.5), "t_cool must be an integer, got 2.5"),
+            (partial(DetectorConfig, n_grad=True), "n_grad must be an integer, got True"),
+            (partial(DetectorConfig, window=2**63), f"window must be at most {sys.maxsize}"),
+            (
+                partial(RepairParams, recent_window=True),
+                "recent_window must be an integer, got True",
+            ),
+            (
+                partial(RepairParams, pool_capacity=2**63),
+                f"pool_capacity must be at most {sys.maxsize}",
+            ),
+            (partial(Scenario, 8, "1"), "length must be an integer, got '1'"),
+            (partial(Scenario, 8, 1, seed=1.5), "seed must be an integer, got 1.5"),
+            (partial(Scenario, 8, 1, seed=2**63), f"seed must be at most {sys.maxsize}"),
+            (
+                partial(Scenario, 8, 1, segments=(StableRegime(1, 1.0, anchors=(1.0,)),)),
+                "anchors must be an integer, got 1.0",
+            ),
+            (
+                partial(Scenario, 8, 2, segments=(DriftRegime(2.0, 0.1, start_entropy=1.0),)),
+                "steps must be an integer, got 2.0",
+            ),
+            (
+                partial(Scenario, 8, 1, segments=(LoopRegime(1, (1, True), 1.0),)),
+                "tokens must be an integer, got True",
+            ),
+            (
+                partial(
+                    Scenario,
+                    8,
+                    2,
+                    segments=(StableRegime(2, 1.0), SpikeInjection(at_step=1.0, magnitude=3.0)),
+                ),
+                "at_step must be an integer, got 1.0",
+            ),
+            (
+                partial(
+                    Scenario,
+                    8,
+                    2,
+                    segments=(StableRegime(2, 1.0), SpikeInjection(0, 3.0, width=1.5)),
+                ),
+                "width must be an integer, got 1.5",
+            ),
+        ],
+    )
+    def test_an_integer_field_built_in_process_takes_only_an_integer(self, build, message):
+        # The JSON gate's integer rule applies when the object is built,
+        # before any value rule.
+        with pytest.raises(ConfigError) as exc:
+            build()
+        assert str(exc.value).startswith(message)
 
 
 class TestFailedStep:
@@ -712,6 +769,25 @@ class TestStepNumerics:
                     assert logits.tobytes() == logits_bytes
                 kept.append((directive.logits, directive.logits.tobytes()))
         assert kinds == EVERY_KIND
+
+    def test_no_step_writes_into_a_float64_array_subclass(self):
+        # np.asarray gives such an input a new object over the host's memory,
+        # so only a dtype change marks the widened conditional as the step's own.
+        class HostArray(np.ndarray):
+            pass
+
+        modes = set()
+        for seed in self.SEEDS:
+            ctrl = Controller(PROP_CONFIG)
+            for t, step in enumerate(random_stream(seed, 60)):
+                z = step.z.astype(np.float64).view(HostArray)
+                z_bytes = z.tobytes()
+                if step.notify:
+                    ctrl.notify_sampled(step.token_id, step.token_text)
+                _, event = process(ctrl, t, replace(step, z=z))
+                modes.add(event.mode)
+                assert z.tobytes() == z_bytes
+        assert modes == set(Mode)
 
     @pytest.mark.parametrize("dtype, repair_bound", [(np.float32, 3.25), (np.float64, 3.25)])
     def test_steady_state_step_allocates_at_most_four_vectors(self, dtype, repair_bound):

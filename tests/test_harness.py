@@ -150,6 +150,44 @@ class TestScenarioValidation:
         after_stable = {"vocab_size": 16, "length": 15, "segments": [stable, drift]}
         assert Scenario.from_dict(after_stable).length == 15
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"length": 0, "segments": ()}, "length must be >= 1, got 0"),
+            (
+                {"segments": (StableRegime(100, 1.0), SpikeInjection(98, 3.0, width=3))},
+                "spike overlay extends past the scenario length",
+            ),
+            (
+                {"segments": (StableRegime(100, 1.0), SpikeInjection(5, 0.0))},
+                "spike needs magnitude > 0 and width >= 1",
+            ),
+            (
+                {"segments": (StableRegime(100, 1.0), SpikeInjection(5, 3.0, width=0))},
+                "spike needs magnitude > 0 and width >= 1",
+            ),
+            (
+                {"segments": (StableRegime(0, 1.0), StableRegime(100, 1.0))},
+                "segment steps must be >= 1, got 0",
+            ),
+            (
+                {"segments": (LoopRegime(100, (1, 2), start_entropy=0.0),)},
+                "loop start_entropy must be > 0",
+            ),
+            (
+                {"segments": (StableRegime(100, 0.0),)},
+                "stable regime needs target_entropy > 0 and jitter >= 0",
+            ),
+            (
+                {"segments": (StableRegime(100, 1.0, jitter=-0.1),)},
+                "stable regime needs target_entropy > 0 and jitter >= 0",
+            ),
+        ],
+    )
+    def test_value_rules(self, change, message):
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            stable_scenario(**change)
+
     def test_loop_needs_a_token(self):
         with pytest.raises(ConfigError):
             Scenario(
@@ -202,6 +240,13 @@ class TestGenerator:
         )
         entropies = [shannon_entropy(r.logits) for r in generate(sc)[0]]
         assert entropies[20:] == pytest.approx([1.0 + 0.01 * i for i in range(1, 11)], abs=1e-4)
+
+    @pytest.mark.parametrize("vocab", [64, 1024])
+    def test_an_opening_drift_starts_at_its_start_entropy(self, vocab):
+        drift = DriftRegime(steps=20, slope=0.02, start_entropy=1.0)
+        sc = stable_scenario(vocab_size=vocab, length=20, segments=(drift,))
+        entropies = [shannon_entropy(r.logits) for r in generate(sc)[0]]
+        assert entropies == pytest.approx([1.0 + 0.02 * i for i in range(20)], abs=1e-5)
 
     def test_stable_entropies_within_jitter(self):
         records, _ = generate(stable_scenario())

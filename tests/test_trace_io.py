@@ -375,6 +375,16 @@ class TestWireProtocol:
         assert responses[2]["code"] == "bad_frame"
         assert responses[3]["kind"] == "summary"
 
+    def test_a_line_that_is_not_an_object_gets_one_bad_frame(self):
+        # A blank line gets no answer.
+        lines = ["[1, 2]", '"init"', "null", "", "  "]
+        responses = run_wire(lines + [{"kind": "init", "vocab_size": 4}, {"kind": "finish"}])
+        error = {"kind": "error", "code": "bad_frame", "message": "frame must be a JSON object"}
+        assert responses[:3] == [error] * 3
+        assert responses[3] == {"kind": "ready"}
+        assert (responses[4]["kind"], responses[4]["total_steps"]) == ("summary", 0)
+        assert len(responses) == 5
+
     def test_unknown_kind_and_bad_step_order(self):
         records = random_records(2, vocab=8)
         responses = run_wire(
@@ -710,6 +720,7 @@ BAD_FRAMES = (
         lambda t: _step_frame(t + 1, [0.0] * 8),
         lambda t: json.dumps(_step_frame(t, [0.0] * 8))[:30],
         lambda t: "[" * 100000,
+        lambda t: [1, 2],  # JSON, but not an object
         lambda t: _step_frame(t, [10**400] + [0.0] * 7),  # an int beyond float range
         lambda t: _step_frame(t, [1e39] + [0.0] * 7),  # beyond float32 range
     ]
