@@ -57,7 +57,7 @@ from .distributions import (
     normalized_entropy,
     shannon_entropy,
 )
-from .errors import ConfigError, ProtocolError, checked_int, read_fields
+from .errors import ConfigError, ProtocolError, check_fields, checked_int, read_fields
 from .monitor import EntropyWindow, entropy_gradient
 from .plan_tracker import GuidanceTable, PatternSet, PlanTracker, StepType
 from .repair import (
@@ -101,6 +101,7 @@ class ControllerConfig:
     patterns: PatternSet | None = None
 
     def __post_init__(self):
+        check_fields(self)
         check_vocab_size(self.vocab_size)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import EPSILON
-from .errors import ConfigError, check_integers
+from .errors import ConfigError, check_fields
 
 __all__ = [
     "DetectorConfig",
@@ -47,7 +47,7 @@ class DetectorConfig:
     c_high: int = 50
 
     def __post_init__(self):
-        check_integers(self)
+        check_fields(self)
         checks = [
             (self.window >= 1, "window must be >= 1"),
             (self.alpha > 0, "alpha must be > 0"),

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, checked_int
+from .errors import ConfigError
 
 __all__ = [
     "EPSILON",
@@ -79,13 +79,10 @@ def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
 
 
 def check_vocab_size(vocab_size) -> None:
-    """Raise ConfigError unless ``vocab_size`` is an integer >= 2 that numpy
-    can allocate as the |V|-sized float64 arrays of a step."""
-    try:
-        if checked_int(vocab_size, "vocab_size") < 2:
-            raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """Raise ConfigError unless the integer ``vocab_size`` is >= 2 and numpy
+    can allocate it as the |V|-sized float64 arrays of a step."""
+    if vocab_size < 2:
+        raise ConfigError(f"vocab_size must be >= 2, got {vocab_size}")
     try:
         np.empty(vocab_size)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array

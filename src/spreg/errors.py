@@ -1,18 +1,15 @@
 """Exception hierarchy and the type rules shared by every input gate.
 
-Plain ValueError is used for bad numeric inputs; the classes below mark
-conditions that callers (and the CLI exit-code mapping) need to tell
-apart. ``checked_int`` and ``checked_float`` are the one definition of an
-integer and a real number for configs, scenarios, trace and wire frames,
-event files, and the step index and sampled token of a stream.
-``read_json`` is the one reader of a config, scenario or pattern file, and
-``checked_object`` the one check that a JSON value is an object.
-``read_fields`` is the one way from a JSON object to a dataclass, and
-``read_value`` from a JSON value to a type hint: a whole config with its
-sections and guidance table, a pattern file, scenarios and their
-segments, and event-file rows. Each field's JSON type is its type hint,
-so it is written once, in the dataclass. ``check_integers`` applies the
-same integer rule to a config or scenario built in process.
+Plain ValueError marks bad numeric inputs; the classes below mark what
+callers (and the CLI exit-code mapping) need to tell apart.
+``checked_int`` and ``checked_float`` are the one definition of an integer
+and a real number for configs, scenarios, trace and wire frames, event
+files, and the step index and sampled token of a stream. ``read_json``
+reads a config, scenario or pattern file, ``read_fields`` builds a
+dataclass from a JSON object, and ``read_value`` reads a JSON value by its
+type hint, so each field's type is written once, in its dataclass.
+``check_fields`` applies the same rule to every field of a config,
+scenario or segment built in process.
 """
 
 from __future__ import annotations
@@ -24,6 +21,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 
@@ -61,12 +59,9 @@ def checked_int(value, what: str) -> int:
 
 def checked_float(value, what: str) -> float:
     """``value`` as a float if it is a finite int or float (not a bool)."""
-    if (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    ):
-        return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
     raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
@@ -91,11 +86,10 @@ _type_hints = functools.cache(get_type_hints)
 def read_fields(cls, body, what: str, **given):
     """Build the dataclass ``cls`` from the JSON object ``body``, or raise ValueError.
 
-    Each key is read by its field's type hint, by the rules of
-    ``read_value``. A missing key takes the field's default, a ``doc``
-    entry is skipped, and any other key ``cls`` does not define is an
-    error. The fields in ``given`` are taken as they are (the caller has
-    already read them) and not from ``body``.
+    Each key is read by ``read_value`` as its field's type hint. A missing
+    key takes the field's default, a ``doc`` entry is skipped, and any
+    other key is an error. The fields in ``given`` are taken as they are
+    (the caller has already read them) and not from ``body``.
     """
     checked_object(body, what)
     kinds = _type_hints(cls)
@@ -111,19 +105,16 @@ def read_fields(cls, body, what: str, **given):
     return cls(**values)
 
 
-def check_integers(obj) -> None:
-    """Raise ConfigError unless each ``int`` field of the dataclass ``obj``,
-    and each entry of a ``tuple[int, ...]`` field, is an integer by the rule
-    of ``read_value``."""
+def check_fields(obj) -> None:
+    """Raise ConfigError unless each field of the built dataclass ``obj``, by its
+    bare name, passes ``read_value``; a dataclass field must hold an instance."""
     kinds = _type_hints(type(obj))
     try:
         for f in fields(obj):
             value, kind = getattr(obj, f.name), kinds[f.name]
-            if kind is int:
-                read_value(value, int, f.name)
-            elif kind == tuple[int, ...]:
-                for item in value:
-                    read_value(item, int, f.name)
+            if is_dataclass(kind) and not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
+            read_value(value, kind, f.name)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -138,7 +129,8 @@ def read_value(value, kind, what: str):
     ``read_fields`` as ``what.field``; ``X | None`` null or an ``X``;
     ``tuple[X, ...]`` a list of ``X``; ``Mapping[E, X]``, for an ``Enum``
     ``E``, an object whose keys are values of ``E`` (a ``doc`` entry is
-    skipped), each read as an ``X`` named ``what.key``.
+    skipped), each read as an ``X`` named ``what.key``. In process, a tuple
+    stands for a list, and an instance for a class or union of classes.
     """
     origin = get_origin(kind)
     if origin is None:
@@ -162,13 +154,21 @@ def read_value(value, kind, what: str):
                 return kind(value)
             except ValueError:
                 raise ValueError(f"{what} must be one of {_choices(kind)}, got {value!r}") from None
+        if isinstance(value, kind):
+            return value
         if is_dataclass(kind):
             return read_fields(kind, value, what)
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
     args = get_args(kind)
     if type(None) in args:
         return None if value is None else read_value(value, args[0], what)
+    if origin is UnionType:
+        if isinstance(value, args):
+            return value
+        names = ", ".join(arg.__name__ for arg in args)
+        raise ValueError(f"{what} must be one of {names}, got {value!r}")
     if origin is tuple:
-        if isinstance(value, list):
+        if isinstance(value, (list, tuple)):
             return tuple(read_value(item, args[0], what) for item in value)
         raise ValueError(f"{what} must be a list, got {value!r}")
     if origin is Mapping:
@@ -180,9 +180,8 @@ def read_value(value, kind, what: str):
             try:
                 member = key_kind(key)
             except ValueError:
-                choices = _choices(key_kind)
-                raise ValueError(f"{what} key {key!r} must be one of {choices}") from None
-            entries[member] = read_value(entry, entry_kind, f"{what}.{key}")
+                raise ValueError(f"{what} key {key!r} must be one of {_choices(key_kind)}") from None
+            entries[member] = read_value(entry, entry_kind, f"{what}.{member.value}")
         return entries
     raise TypeError(f"{what} has no JSON reading for {kind!r}")
 

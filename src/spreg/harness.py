@@ -33,7 +33,7 @@ import numpy as np
 from .controller import EventRecord
 from .detector import DetectorConfig
 from .distributions import check_vocab_size, shannon_entropy
-from .errors import ConfigError, check_integers, checked_object, read_fields, read_json
+from .errors import ConfigError, check_fields, checked_object, read_fields, read_json
 from .monitor import EntropyWindow
 from .trace_io import TraceRecord
 
@@ -99,11 +99,12 @@ class Scenario:
     vocab_size: int
     length: int
     seed: int = 0
-    segments: tuple = ()
+    segments: tuple[StableRegime | DriftRegime | LoopRegime | SpikeInjection, ...] = ()
 
     def __post_init__(self):
-        for part in (self, *self.segments):
-            check_integers(part)
+        check_fields(self)  # first: each segment is then one of the segment classes
+        for seg in self.segments:
+            check_fields(seg)
         check_vocab_size(self.vocab_size)
         if self.length < 1:
             raise ConfigError(f"length must be >= 1, got {self.length}")

@@ -40,7 +40,7 @@ from enum import Enum
 from importlib import resources
 from typing import Mapping
 
-from .errors import ConfigError, read_json, read_value
+from .errors import ConfigError, check_fields, read_json, read_value
 
 __all__ = ["StepType", "PatternSet", "PlanTracker", "GuidanceTable"]
 
@@ -199,6 +199,7 @@ class GuidanceTable:
     lambda_base: Mapping[StepType, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        check_fields(self)
         table = {**_LAMBDA_BASE, **self.lambda_base}
         for step, value in table.items():
             if not value > 0:

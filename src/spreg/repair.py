@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import EPSILON, _blocks, log_softmax
-from .errors import ConfigError, check_integers
+from .errors import ConfigError, check_fields
 from .plan_tracker import GuidanceTable, StepType
 
 __all__ = [
@@ -80,7 +80,7 @@ class RepairParams:
     pool_capacity: int = 32
 
     def __post_init__(self):
-        check_integers(self)
+        check_fields(self)
         checks = [
             (self.beta >= 0, "beta must be >= 0"),
             (0 <= self.eta <= MAX_GAIN, f"eta must be in [0, {MAX_GAIN:g}]"),

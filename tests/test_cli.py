@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from collections.abc import Mapping
 from dataclasses import fields
+from functools import partial
 from importlib import resources
 from typing import get_args, get_origin, get_type_hints
 
@@ -152,6 +153,13 @@ def parse_segment(row: dict):
     return Scenario.from_dict({"vocab_size": 16, "length": 4, "segments": [*base, row]})
 
 
+def build_segment(cls, **row):
+    """The segment ``cls`` of ``row`` built in process, checked by a Scenario."""
+    base = [StableRegime(4, 1.2)] if cls is SpikeInjection else []
+    segment = cls(**{key: value for key, value in row.items() if key != "kind"})
+    return Scenario(16, 4, segments=(*base, segment))
+
+
 def parse_config_section(section: str):
     return lambda row: config_from_dict({"vocab_size": 8, section: row})
 
@@ -165,14 +173,18 @@ def parse_event(row: dict):
     return read_events(io.StringIO(json.dumps(row)))
 
 
-# Per dataclass read from JSON: a valid object, its gate, and the gate's error.
+# Per dataclass read from JSON: a valid object, its gate, the gate's error,
+# and how a config or segment builds the same object in process.
 GATES = {
-    DetectorConfig: ({}, parse_config_section("detector"), ConfigError),
-    RepairParams: ({}, parse_config_section("repair"), ConfigError),
-    GuidanceTable: ({}, parse_config_section("guidance"), ConfigError),
-    Cues: ({"keywords": ["tool"]}, parse_pattern_entry, ConfigError),
-    **{cls: (row, parse_segment, ConfigError) for cls, row in SEGMENT_ROWS.items()},
-    EventRecord: (EVENT_ROW, parse_event, TraceFormatError),
+    DetectorConfig: ({}, parse_config_section("detector"), ConfigError, DetectorConfig),
+    RepairParams: ({}, parse_config_section("repair"), ConfigError, RepairParams),
+    GuidanceTable: ({}, parse_config_section("guidance"), ConfigError, GuidanceTable),
+    Cues: ({"keywords": ["tool"]}, parse_pattern_entry, ConfigError, None),
+    **{
+        cls: (row, parse_segment, ConfigError, partial(build_segment, cls))
+        for cls, row in SEGMENT_ROWS.items()
+    },
+    EventRecord: (EVENT_ROW, parse_event, TraceFormatError, None),
 }
 
 
@@ -203,12 +215,19 @@ def wrong_json_values(kind) -> list:
     ],
 )
 def test_every_field_rejects_a_wrong_json_type(cls, name, value):
-    row, parse, error = GATES[cls]
+    row, parse, error, build = GATES[cls]
     parse(row)
     # A wrong mapping entry is blamed on its key.
     blamed = ".".join([name, *value]) if isinstance(value, dict) else name
-    with pytest.raises(error, match=rf"\.{blamed} must"):
+    with pytest.raises(error, match=rf"\.{blamed} must") as from_json:
         parse({**row, name: value})
+    if build is not None:
+        # The same value built in process fails by the same rule, named
+        # by the field alone.
+        build(**row)
+        with pytest.raises(ConfigError) as in_process:
+            build(**{**row, name: value})
+        assert str(from_json.value).endswith(str(in_process.value))
 
 
 class TestCli:

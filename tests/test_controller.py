@@ -19,7 +19,7 @@ from spreg.detector import DetectorConfig
 from spreg.distributions import BLOCK, log_softmax, normalized_entropy, shannon_entropy
 from spreg.errors import ConfigError, ProtocolError
 from spreg.harness import DriftRegime, LoopRegime, Scenario, SpikeInjection, StableRegime
-from spreg.plan_tracker import StepType
+from spreg.plan_tracker import GuidanceTable, StepType
 from spreg.repair import (
     MAX_GAIN,
     ReferencePool,
@@ -156,14 +156,59 @@ class TestLifecycle:
                 ),
                 "width must be an integer, got 1.5",
             ),
+            (partial(DetectorConfig, alpha=True), "alpha must be a finite number, got True"),
+            (
+                partial(DetectorConfig, alpha=float("inf")),
+                "alpha must be a finite number, got inf",
+            ),
+            (partial(DetectorConfig, alpha="1"), "alpha must be a finite number, got '1'"),
+            (
+                partial(RepairParams, lambda_max="2"),
+                "lambda_max must be a finite number, got '2'",
+            ),
+            (
+                partial(GuidanceTable, lambda_base={"action": "2"}),
+                "lambda_base.action must be a finite number, got '2'",
+            ),
+            (
+                partial(Scenario, 8, 1, segments=(5,)),
+                "segments must be one of StableRegime, DriftRegime, LoopRegime, SpikeInjection,"
+                " got 5",
+            ),
+            (
+                partial(Scenario, 8, 1, segments=(StableRegime(1, 1.0, anchors=5),)),
+                "anchors must be a list, got 5",
+            ),
+            # Not later: a stray pattern set would fail after a step committed.
+            (partial(make_config, patterns="x"), "patterns must be a PatternSet, got 'x'"),
+            (
+                partial(make_config, detector={"alpha": 1.0}),
+                "detector must be a DetectorConfig, got {'alpha': 1.0}",
+            ),
+            (partial(make_config, repair=None), "repair must be a RepairParams, got None"),
+            (partial(make_config, guidance={}), "guidance must be a GuidanceTable, got {}"),
         ],
     )
     def test_an_integer_field_built_in_process_takes_only_an_integer(self, build, message):
-        # The JSON gate's integer rule applies when the object is built,
-        # before any value rule.
+        # The JSON gate's type rule applies to every field when the object
+        # is built, before any value rule.
         with pytest.raises(ConfigError) as exc:
             build()
         assert str(exc.value).startswith(message)
+
+    def test_numpy_scalars_follow_the_rule_of_the_number_they_are(self):
+        # An integer field takes np.int64 (an integer by operator.index) and
+        # a real field np.float64 (a float). A real field takes no other
+        # numpy scalar, as a JSON real is a Python int or float.
+        config = DetectorConfig(window=np.int64(5), alpha=np.float64(2.0))
+        assert config == DetectorConfig(window=5, alpha=2.0)
+        assert ControllerConfig(vocab_size=np.int64(VOCAB)) == make_config()
+        for build in (
+            partial(RepairParams, eta=np.float32(0.1)),
+            partial(DetectorConfig, alpha=np.int64(2)),
+        ):
+            with pytest.raises(ConfigError, match="^(eta|alpha) must be a finite number, got "):
+                build()
 
 
 class TestFailedStep:
