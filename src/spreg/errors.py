@@ -9,7 +9,7 @@ reads a config, scenario or pattern file, ``read_fields`` builds a
 dataclass from a JSON object, and ``read_value`` reads a JSON value by its
 type hint, so each field's type is written once, in its dataclass.
 ``check_fields`` applies the same rule to every field of a config,
-scenario or segment built in process.
+scenario or segment built in process, and stores what it reads.
 """
 
 from __future__ import annotations
@@ -106,15 +106,17 @@ def read_fields(cls, body, what: str, **given):
 
 
 def check_fields(obj) -> None:
-    """Raise ConfigError unless each field of the built dataclass ``obj``, by its
-    bare name, passes ``read_value``; a dataclass field must hold an instance."""
+    """Raise ConfigError unless each field of the dataclass ``obj`` being built,
+    by its bare name, passes ``read_value``, and store what it returns, as the
+    JSON path would (a tuple for a list, no ``doc`` entry); a dataclass field
+    must hold an instance."""
     kinds = _type_hints(type(obj))
     try:
         for f in fields(obj):
             value, kind = getattr(obj, f.name), kinds[f.name]
             if is_dataclass(kind) and not isinstance(value, kind):
                 raise ValueError(f"{f.name} must be a {kind.__name__}, got {value!r}")
-            read_value(value, kind, f.name)
+            object.__setattr__(obj, f.name, read_value(value, kind, f.name))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -23,7 +23,7 @@ step tolerance, reporting detection precision and recall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
@@ -103,6 +103,8 @@ class Scenario:
 
     def __post_init__(self):
         check_fields(self)  # first: each segment is then one of the segment classes
+        # Copies, so that no segment the caller holds is written into.
+        object.__setattr__(self, "segments", tuple(replace(seg) for seg in self.segments))
         for seg in self.segments:
             check_fields(seg)
         check_vocab_size(self.vocab_size)

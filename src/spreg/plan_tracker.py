@@ -1,34 +1,34 @@
 r"""Structural step classification from incrementally decoded text.
 
 A bounded tail of recent surface text is scanned for keyword and syntax
-cues; the most recent match decides the active step type, ties at the
-same position break by priority (conclusion > action > observation >
-reasoning), and when nothing matches the previous type sticks.
+cues, which ship as a swappable JSON data file; the most recent match
+decides the active step type, ties at the same position break by priority
+(conclusion > action > observation > reasoning), and when nothing matches
+the previous type sticks.
 
-The scan is incremental. ``classify`` rescans only the text ingested
-since its last call plus the ``_OVERLAP`` characters before it, and keeps
-the right-most match that earlier scans found before that point. A match
-depends on the text up to one character past its end (the ``(?!\w)``
-lookahead), so new text can only destroy or complete a match that reaches
-the old end of the text: after ``"Result => 1 tool"``, ingesting ``"s"``
-turns ``tool`` into ``tools`` and the type falls back to observation. Such
-a match starts inside the rescanned region if it is shorter than
-``_OVERLAP``, so the result equals a full scan of the tail, except in two
-cases:
+A pattern set joins its cues into one expression, ``(?s:.*)(?=(?P<CONCLUSION>
+...)|(?P<ACTION>...)|...)``, a group per step type in priority order, whose
+``match`` stops at the right-most position where a cue matches. Each cue
+keeps its meaning alone: leading flags such as ``(?i)`` become a scoped
+``(?i:...)``; a numbered backreference or conditional (joining renumbers
+groups), or any cue that compiles alone but not joined, is rejected.
 
-- A longer match. Keywords must be shorter than ``_OVERLAP``
-  (the pattern file is rejected otherwise); regex cues can be unbounded.
-  The default ``\bstep\s*\d+`` misses a ``step`` whose number arrives
-  after more than 28 whitespace characters that an earlier scan already
-  saw.
+``classify`` scans the text ingested since its last call plus the
+``_OVERLAP`` characters before it. A match depends on the text up to one
+character past its end (the ``(?!\w)`` lookahead), so new text can only
+destroy or complete a match that reaches the old end of the text:
+ingesting ``"s"`` after ``"Result => 1 tool"`` turns ``tool`` into
+``tools``. Such a match starts in the rescanned region if it is shorter
+than ``_OVERLAP``, so when that scan finds nothing and the newest match
+lay there, the whole tail is scanned. This equals a full scan, except:
+
+- A longer match. Keywords must be shorter than ``_OVERLAP`` (the pattern
+  file is rejected otherwise), but regex cues can be unbounded: the default
+  ``\bstep\s*\d+`` misses a number after more than 28 whitespace
+  characters that an earlier scan already saw.
 - A match that trimming creates. Cutting ``"ondef "`` to ``"def "`` at the
   front of the tail satisfies ``(?<!\w)def\s`` only because the ``n``
-  before it is gone. Each match is judged with the text that preceded it
-  when it was scanned, so the tracker sees this one only when a single
-  scan covers the whole tail.
-
-Patterns ship as a JSON data file so the cue vocabulary can be swapped
-(for other languages or formats) without touching code.
+  before it is gone; only a whole-tail scan sees it.
 """
 
 from __future__ import annotations
@@ -58,20 +58,25 @@ class StepType(str, Enum):
     CONCLUSION = "conclusion"
 
 
-# Lower rank wins position ties.
-_PRIORITY = {
-    StepType.CONCLUSION: 0,
-    StepType.ACTION: 1,
-    StepType.OBSERVATION: 2,
-    StepType.REASONING: 3,
-}
-# Sorts below every match the tracker keeps: (stream position, -rank, step).
-_NO_MATCH: tuple[int, int, StepType | None] = (-1, 0, None)
+# Step types in priority order: the first wins position ties.
+_PRIORITY = (StepType.CONCLUSION, StepType.ACTION, StepType.OBSERVATION, StepType.REASONING)
+# Global flags at the start of a cue, as in "(?i)\bstep\s*\d+".
+_LEADING_FLAGS = re.compile(r"(?:\(\?[aiLmsux]+\))*")
+# Group 1 is a numbered reference; escapes and character classes match whole.
+_NUMBERED_REF = re.compile(r"(\\[1-9]|\(\?\(\d)|\\.|\[\^?\]?(?:\\.|[^\\\]])*\]", re.DOTALL)
 
 
-def _compile_keyword(keyword: str) -> re.Pattern:
-    # Word-ish boundaries so "action" does not fire inside "reaction".
-    return re.compile(rf"(?<!\w){re.escape(keyword)}(?!\w)", re.IGNORECASE)
+def _joinable(cue: str) -> tuple[re.Pattern, str]:
+    """``cue`` compiled alone and its source for the joined expression, or re.error."""
+    alone = re.compile(cue)
+    lead = _LEADING_FLAGS.match(cue)[0]
+    source = f"(?{re.sub(r'[(?)]', '', lead)}:{cue[len(lead):]})"
+    if any(ref[1] for ref in _NUMBERED_REF.finditer(cue)):
+        raise re.error("joining the cues renumbers groups, which moves a numbered reference")
+    # Fails for a "(?x)" comment that eats the ")", or a later global flag (Python 3.10).
+    if re.compile(source).flags != re.UNICODE:
+        raise re.error("a global flag after the start would apply to every cue")
+    return alone, source
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class Cues:
 
 
 class PatternSet:
-    """Compiled per-step-type keyword and regex cues; immutable after load.
+    """Per-step-type keyword and regex cues, joined into one expression; immutable after load.
 
     ``spec`` maps every step type to its ``Cues``; it is read by
     ``errors.read_value``, so an unknown step type or entry key is an error.
@@ -95,6 +100,7 @@ class PatternSet:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         self._patterns: list[tuple[StepType, re.Pattern]] = []
+        sources, names = {}, {step.name for step in StepType}
         for step in StepType:
             entry = entries.get(step)
             if entry is None:
@@ -106,12 +112,20 @@ class PatternSet:
                     raise ConfigError(
                         f"keyword for {step.value!r} must be shorter than {_OVERLAP} characters: {kw!r}"
                     )
-                self._patterns.append((step, _compile_keyword(kw)))
-            for cue in entry.regex_cues:
+            # Word-ish boundaries so "action" does not fire inside "reaction".
+            keywords = [rf"(?i)(?<!\w){re.escape(kw)}(?!\w)" for kw in entry.keywords]
+            for cue in [*keywords, *entry.regex_cues]:
                 try:
-                    self._patterns.append((step, re.compile(cue)))
+                    pattern, source = _joinable(cue)
+                    if names & pattern.groupindex.keys():
+                        raise re.error("its group name is taken by another cue or a step type")
                 except re.error as exc:
                     raise ConfigError(f"bad regex cue for {step.value!r}: {cue!r} ({exc})") from exc
+                names |= pattern.groupindex.keys()
+                self._patterns.append((step, pattern))
+                sources.setdefault(step, []).append(source)
+        groups = "|".join(f"(?P<{step.name}>{'|'.join(sources[step])})" for step in _PRIORITY)
+        self._newest = re.compile(f"(?s:.*)(?={groups})")
 
     @classmethod
     @functools.cache
@@ -129,9 +143,7 @@ class PlanTracker:
         self._active = StepType.REASONING
         self._offset = 0  # stream position of tail[0]
         self._fresh = 0  # characters ingested since the last scan
-        # Right-most match among those before the point the next scan
-        # starts from.
-        self._kept = _NO_MATCH
+        self._last = -1  # stream position of the newest match, -1 for none
 
     @property
     def tail(self) -> str:
@@ -150,29 +162,16 @@ class PlanTracker:
     def classify(self) -> StepType:
         """Active step type; scans only the text that can hold a new match."""
         if self._fresh:
-            tail, offset = self._tail, self._offset
+            tail, newest = self._tail, self.patterns._newest
             start = max(0, len(tail) - self._fresh - _OVERLAP)
-            # No later text can change a match that starts before this.
-            settled = offset + len(tail) - _OVERLAP
-            kept = self._kept if self._kept[0] >= offset else _NO_MATCH
-            best = kept
-            for step, pattern in self.patterns._patterns:
-                # Most cues do not occur in the new text; search says so
-                # faster than an empty finditer.
-                first = pattern.search(tail, start)
-                if first is None:
-                    continue
-                rank = -_PRIORITY[step]
-                for m in pattern.finditer(tail, first.start()):
-                    found = (offset + m.start(), rank, step)
-                    if found > best:
-                        best = found
-                    if found[0] < settled and found > kept:
-                        kept = found
-            self._kept = kept
+            found = newest.match(tail, start)
+            if found is None and self._last >= self._offset + start:
+                # New text destroyed the newest match: an older one decides.
+                found, self._last = newest.match(tail), -1
             self._fresh = 0
-            if best[2] is not None:
-                self._active = best[2]
+            if found is not None:
+                self._last = self._offset + found.end()
+                self._active = StepType[found.lastgroup]
         return self._active
 
 

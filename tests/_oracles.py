@@ -97,27 +97,28 @@ def oracle_pool_reference(entries, capacity: int) -> np.ndarray:
     return log_softmax(rounded.mean(axis=0))
 
 
-# Position ties between step types break in this order, highest first.
+# Step types in priority order: at one position, the first with a matching cue wins.
 _STEP_ORDER = ("conclusion", "action", "observation", "reasoning")
 
 
 def oracle_last_match(patterns, text: str):
     """Step type of the right-most cue match in ``text``, or None.
 
-    A full rescan: every compiled cue of ``patterns`` runs ``finditer``
-    over all of ``text``; ties at the same start go to the step type
-    earlier in ``_STEP_ORDER``.
+    Brute force over positions: each position of ``text`` is tried from the
+    right (the end included), and at each one the step types in
+    ``_STEP_ORDER``; the first compiled cue of ``patterns`` for which
+    ``pattern.match(text, pos)`` succeeds gives the step.
     """
-    best = None  # (start, -order)
-    best_step = None
-    for step, pattern in patterns._patterns:
-        starts = [m.start() for m in pattern.finditer(text)]
-        if not starts:
-            continue
-        key = (starts[-1], -_STEP_ORDER.index(step.value))
-        if best is None or key > best:
-            best, best_step = key, step
-    return best_step
+    by_order = [
+        [(step, pattern) for step, pattern in patterns._patterns if step.value == name]
+        for name in _STEP_ORDER
+    ]
+    for pos in range(len(text), -1, -1):
+        for cues in by_order:
+            for step, pattern in cues:
+                if pattern.match(text, pos):
+                    return step
+    return None
 
 
 def naive_window_stats(values) -> tuple[float, float]:

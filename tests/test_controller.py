@@ -210,6 +210,21 @@ class TestLifecycle:
             with pytest.raises(ConfigError, match="^(eta|alpha) must be a finite number, got "):
                 build()
 
+    def test_a_list_built_in_process_is_held_as_the_json_tuple(self):
+        segment = StableRegime(1, 1.0, anchors=[1])
+        scenario = Scenario(8, 1, segments=[segment])
+        row = {"kind": "stable", "steps": 1, "target_entropy": 1.0, "anchors": [1]}
+        assert scenario == Scenario.from_dict({"vocab_size": 8, "length": 1, "segments": [row]})
+        assert hash(scenario) == hash(Scenario(8, 1, segments=(StableRegime(1, 1.0, anchors=(1,)),)))
+        assert segment.anchors == [1]  # the caller's segment is not written into
+
+    @pytest.mark.parametrize("doc", ["x", 2.0])
+    def test_a_doc_entry_built_in_process_is_skipped_as_in_json(self, doc):
+        lambda_base = {"doc": doc, "action": 2.0}
+        from_json = config_from_dict({"vocab_size": 8, "guidance": {"lambda_base": lambda_base}})
+        assert GuidanceTable(lambda_base=lambda_base) == from_json.guidance
+        assert len(from_json.guidance.lambda_base) == len(StepType)
+
 
 class TestFailedStep:
     """A step that raises changes no stream state, so the host can retry its t."""

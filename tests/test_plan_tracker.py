@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -141,21 +142,24 @@ def _outside_exact_scan(patterns, stream: str, tail: str) -> bool:
     return False
 
 
+def assert_equals_a_full_rescan_token_by_token(patterns, tokens):
+    tracker = PlanTracker(patterns)
+    expected = StepType.REASONING
+    stream = ""
+    for tok in tokens:
+        tracker.ingest(tok)
+        stream += tok
+        if _outside_exact_scan(patterns, stream, tracker.tail):
+            return  # from here on the two may differ by design
+        expected = oracle_last_match(patterns, tracker.tail) or expected
+        assert tracker.classify() is expected
+
+
 class TestIncrementalScan:
     @given(st.lists(st.sampled_from(FRAGMENTS), max_size=150))
     @settings(max_examples=100, deadline=None)
     def test_equals_a_full_rescan_token_by_token(self, tokens):
-        patterns = PatternSet.default()
-        tracker = PlanTracker(patterns)
-        expected = StepType.REASONING
-        stream = ""
-        for tok in tokens:
-            tracker.ingest(tok)
-            stream += tok
-            if _outside_exact_scan(patterns, stream, tracker.tail):
-                return  # from here on the two may differ by design
-            expected = oracle_last_match(patterns, tracker.tail) or expected
-            assert tracker.classify() is expected
+        assert_equals_a_full_rescan_token_by_token(PatternSet.default(), tokens)
 
     @pytest.mark.parametrize("padding", ["", " " * 40])
     def test_appended_word_character_destroys_a_match(self, patterns, padding):
@@ -210,6 +214,77 @@ class TestIncrementalScan:
         tracker.ingest("2")
         assert tracker.classify() is expected
         assert oracle_last_match(patterns, tracker.tail) is StepType.REASONING
+
+
+def spec_with_action_cue(cue):
+    spec = {s.value: {"keywords": [s.value]} for s in StepType}
+    spec["action"]["regex_cues"] = [cue]
+    return spec
+
+
+@st.composite
+def tying_pattern_streams(draw):
+    """A pattern set and tokens for it. Keywords are drawn from FRAGMENTS, one
+    of them shared (in another case) by several step types so that their cues
+    tie, with some grouped regex cues; tokens are keywords or FRAGMENTS."""
+    shared = draw(st.sampled_from(FRAGMENTS)).upper()
+    spec = {}
+    for step in StepType:
+        keywords = draw(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=3))
+        cues = draw(st.lists(st.sampled_from([r"(?i)(th)(e)", r"\d+", r"(=)>"]), max_size=1))
+        spec[step.value] = {"keywords": keywords + [shared] * draw(st.booleans()), "regex_cues": cues}
+    words = sorted({kw for entry in spec.values() for kw in entry["keywords"]})
+    tokens = st.one_of(st.sampled_from(words), st.sampled_from(FRAGMENTS))
+    return spec, draw(st.lists(tokens, max_size=100))
+
+
+class TestCueRules:
+    def test_leading_flag_and_group_keep_their_meaning(self, tmp_path):
+        spec = spec_with_action_cue(r"(?i)(call|invoke)\s")
+        spec["reasoning"]["regex_cues"] = ["Plan"]
+        (tmp_path / "patterns.json").write_text(json.dumps(spec))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"vocab_size": 8, "patterns": "patterns.json"}))
+        patterns = config_from_dict(load_config_dict(config)).patterns
+        assert classify_text(patterns, "observation: we CALL it") is StepType.ACTION
+        assert classify_text(patterns, "observation: Invoke\t") is StepType.ACTION
+        # The flag stays with its cue: "Plan" is still case-sensitive.
+        assert classify_text(patterns, "observation PLAN") is StepType.OBSERVATION
+        assert classify_text(patterns, "observation Plan") is StepType.REASONING
+
+    @pytest.mark.parametrize(
+        "cue", [r"(a)\1", r"(a)?(?(1)b|c)", "(?x) call  # a comment", "(?P<ACTION>call)"]
+    )
+    def test_a_cue_joining_would_change_is_rejected_by_name(self, cue):
+        with pytest.raises(ConfigError, match=re.escape(f"bad regex cue for 'action': {cue!r}")):
+            PatternSet(spec_with_action_cue(cue))
+
+    def test_a_group_name_two_cues_use_is_rejected_by_name(self):
+        spec = spec_with_action_cue("(?P<v>call)")
+        spec["observation"]["regex_cues"] = ["(?P<v>seen)"]
+        with pytest.raises(ConfigError, match="'\\(\\?P<v>seen\\)'"):
+            PatternSet(spec)
+
+    @pytest.mark.parametrize(
+        "cue, text",
+        [
+            (r"x\\1", "x\\1"),  # an escaped backslash, then a digit
+            (r"[\1]x", "\x01x"),  # an octal escape in a class
+            (r"(?P<v>ab)(?P=v)", "abab"),  # a named backreference
+            (r"(?x) c a l l", "call"),  # verbose, with no comment to swallow the ")"
+        ],
+    )
+    def test_other_cues_classify_as_they_match_alone(self, cue, text):
+        patterns = PatternSet(spec_with_action_cue(cue))
+        assert re.search(cue, text)
+        assert classify_text(patterns, f"observation {text}") is StepType.ACTION
+        assert classify_text(patterns, f"{text} observation") is StepType.OBSERVATION
+
+    @given(tying_pattern_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_custom_patterns_equal_a_full_rescan_token_by_token(self, stream_spec):
+        spec, tokens = stream_spec
+        assert_equals_a_full_rescan_token_by_token(PatternSet(spec), tokens)
 
 
 class TestPatternSet:
