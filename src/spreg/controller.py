@@ -41,7 +41,7 @@ directive's logits are never written after the step returns them.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
@@ -183,7 +183,7 @@ class Controller:
         self._tracker = PlanTracker(config.patterns)
         self._pool = ReferencePool(config.vocab_size, capacity=config.repair.pool_capacity)
         self._work = np.empty(min(config.vocab_size, BLOCK))
-        self._recent: list[int] = []
+        self._recent: deque[int] = deque(maxlen=config.repair.recent_window)
         self._next_t = 0
         self._awaiting_sample = False
         self._modes: Counter[Mode] = Counter()
@@ -206,9 +206,6 @@ class Controller:
     def _ingest_token(self, token_id: int | None, token_text: str) -> None:
         if token_id is not None:
             self._recent.append(token_id)
-            span = self.config.repair.recent_window
-            if len(self._recent) > span:
-                del self._recent[:-span]
         if token_text:
             self._tracker.ingest(token_text)
 
@@ -257,7 +254,7 @@ class Controller:
         gradient = entropy_gradient([*prior, entropy]) if len(prior) == n - 1 else None
         step_type = self._tracker.classify()
 
-        phase, decision = self._detector.advance(entropy, mu, sigma, gradient)
+        phase, decision = self._detector.advance(t, entropy, mu, sigma, gradient)
         if decision.kind is DecisionKind.NO_ACTION:
             directive = Directive(logits=cond)
             lam, source, modified_entropy = None, ReferenceSource.NA, None

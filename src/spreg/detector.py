@@ -6,12 +6,12 @@ transitions, and a dual threshold then requires the entropy to clear both
 the local adaptive bound mu + alpha*sigma and an absolute floor.
 
 The state machine enforces the warmup / monitoring / repairing / cooldown
-rhythm: no evaluation during warmup, a severity-dependent repair of 1-3
-steps once triggered, and a fixed cooldown after every intervention. The
-detector also counts consecutive steps whose entropy exceeds the window
-mean; c_high of them escalate to aggressive recovery, which takes
-precedence over spike repair, restarts the count and is followed by the
-same cooldown.
+rhythm: no evaluation during warmup, and one countdown per intervention:
+a trigger of severity d (1-3) holds the stream for d - 1 repair steps and
+then t_cool cooldown steps. The detector also counts consecutive steps
+whose entropy exceeds the window mean; c_high of them escalate to
+aggressive recovery, which takes precedence over spike repair, restarts
+the count and is followed by the same cooldown.
 """
 
 from __future__ import annotations
@@ -120,16 +120,15 @@ def severity_duration(entropy: float, mu: float, sigma: float, cfg: DetectorConf
 class SpikeDetector:
     """Per-stream control state machine; advance() must be called once per step.
 
-    The caller owns the step order; the detector only counts the steps it
-    has seen, for warmup.
+    The caller owns the step order and passes each step's index t. The
+    countdown is d - 1 + t_cool after a trigger of severity d, t_cool after
+    an aggressive recovery; a step that leaves it at t_cool or more repairs.
     """
 
     def __init__(self, cfg: DetectorConfig | None = None):
         self.cfg = cfg or DetectorConfig()
-        self._steps = 0
         self._above_mean = 0
-        self._repair_left = 0
-        self._cool_left = 0
+        self._countdown = 0  # steps left of the current repair and its cooldown
         self._repair_count = 0
 
     @property
@@ -139,12 +138,13 @@ class SpikeDetector:
 
     def advance(
         self,
+        t: int,
         entropy: float,
         mu: float | None,
         sigma: float | None,
         gradient: float | None,
     ) -> tuple[Phase, Decision]:
-        """Evaluate one step and return (phase during the step, decision).
+        """Evaluate step ``t`` and return (phase during the step, decision).
 
         ``mu``/``sigma`` are the window stats before the current entropy is
         pushed; None means no history yet, which counts as not above the
@@ -153,8 +153,6 @@ class SpikeDetector:
         masked.
         """
         cfg = self.cfg
-        t = self._steps
-        self._steps += 1
         if mu is not None and entropy > mu:
             self._above_mean += 1
         else:
@@ -163,22 +161,18 @@ class SpikeDetector:
         if t < cfg.t_warm:
             return Phase.WARMUP, _NO_ACTION
 
-        if self._repair_left > 0:
-            self._repair_left -= 1
-            if self._repair_left == 0:
-                self._cool_left = cfg.t_cool
-            return Phase.REPAIRING, Decision(
-                DecisionKind.CONTINUE_REPAIR, repair_index=self._repair_count - 1
-            )
-
-        if self._cool_left > 0:
-            self._cool_left -= 1
+        if self._countdown > 0:
+            self._countdown -= 1
+            if self._countdown >= cfg.t_cool:
+                return Phase.REPAIRING, Decision(
+                    DecisionKind.CONTINUE_REPAIR, repair_index=self._repair_count - 1
+                )
             return Phase.COOLDOWN, _NO_ACTION
 
         if self._above_mean >= cfg.c_high:
             # Require a fresh run of above-mean steps before escalating again.
             self._above_mean = 0
-            self._cool_left = cfg.t_cool
+            self._countdown = cfg.t_cool
             return Phase.MONITORING, Decision(DecisionKind.AGGRESSIVE_RECOVER)
 
         passes_prefilter = gradient is None or prefilter(gradient, entropy, cfg)
@@ -186,9 +180,7 @@ class SpikeDetector:
             duration = severity_duration(entropy, mu, sigma, cfg)
             index = self._repair_count
             self._repair_count += 1
-            self._repair_left = duration - 1
-            if self._repair_left == 0:
-                self._cool_left = cfg.t_cool
+            self._countdown = duration - 1 + cfg.t_cool
             return Phase.MONITORING, Decision(
                 DecisionKind.TRIGGER_REPAIR, duration=duration, repair_index=index
             )

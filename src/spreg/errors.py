@@ -8,6 +8,8 @@ files, and the step index and sampled token of a stream. ``read_json``
 reads a config, scenario or pattern file, ``read_fields`` builds a
 dataclass from a JSON object, and ``read_value`` reads a JSON value by its
 type hint, so each field's type is written once, in its dataclass.
+``checked_object`` holds their rule for keys, which wire requests and
+trace records share: an unknown key is an error, and so is a missing one.
 ``check_fields`` applies the same rule to every field of a config,
 scenario or segment built in process, and stores what it reads.
 """
@@ -73,10 +75,21 @@ def read_json(source, what: str):
         raise ConfigError(f"cannot load {what} {source}: {exc}") from exc
 
 
-def checked_object(body, what: str) -> dict:
-    """``body`` if it is a JSON object (a dict), else ValueError."""
+def checked_object(body, what: str, keys=None, required=()) -> dict:
+    """``body`` if it is a JSON object (a dict), else ValueError.
+
+    With ``keys``, a key of ``body`` that is not in ``keys`` is an error too,
+    and so is a missing key of ``required``.
+    """
     if not isinstance(body, dict):
         raise ValueError(f"{what} must be an object, got {type(body).__name__}")
+    if keys is not None:
+        unknown = body.keys() - keys
+        if unknown:
+            raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in body:
+            raise ValueError(f"{what} requires {key}")
     return body
 
 
@@ -91,11 +104,8 @@ def read_fields(cls, body, what: str, **given):
     other key is an error. The fields in ``given`` are taken as they are
     (the caller has already read them) and not from ``body``.
     """
-    checked_object(body, what)
     kinds = _type_hints(cls)
-    unknown = body.keys() - kinds.keys() - {"doc"}
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
+    checked_object(body, what, kinds.keys() | {"doc"})
     values = dict(given)
     for f in fields(cls):
         if f.name in body and f.name not in given:

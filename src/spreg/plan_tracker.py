@@ -141,9 +141,8 @@ class PlanTracker:
         self.patterns = patterns or PatternSet.default()
         self._tail = ""
         self._active = StepType.REASONING
-        self._offset = 0  # stream position of tail[0]
         self._fresh = 0  # characters ingested since the last scan
-        self._last = -1  # stream position of the newest match, -1 for none
+        self._last = -1  # tail index of the newest match; negative once trimmed, or for none
 
     @property
     def tail(self) -> str:
@@ -156,7 +155,7 @@ class PlanTracker:
         tail = self._tail + token_text
         cut = max(0, len(tail) - _TAIL_LIMIT)
         self._tail = tail[cut:]
-        self._offset += cut
+        self._last -= cut
         self._fresh += len(token_text)
 
     def classify(self) -> StepType:
@@ -165,12 +164,12 @@ class PlanTracker:
             tail, newest = self._tail, self.patterns._newest
             start = max(0, len(tail) - self._fresh - _OVERLAP)
             found = newest.match(tail, start)
-            if found is None and self._last >= self._offset + start:
+            if found is None and self._last >= start:
                 # New text destroyed the newest match: an older one decides.
                 found, self._last = newest.match(tail), -1
             self._fresh = 0
             if found is not None:
-                self._last = self._offset + found.end()
+                self._last = found.end()
                 self._active = StepType[found.lastgroup]
         return self._active
 

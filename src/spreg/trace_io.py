@@ -30,7 +30,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -40,7 +40,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .controller import Controller, ControllerConfig, Directive, EventRecord, StreamSummary
-from .errors import ConfigError, ProtocolError, TraceFormatError, checked_int
+from .errors import ConfigError, ProtocolError, TraceFormatError, checked_int, checked_object
 
 __all__ = [
     "TraceRecord",
@@ -88,16 +88,15 @@ class TraceRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceRecord":
+        """Read a record object; an unknown key, or no ``t`` or ``logits``, is an error."""
+        checked_object(d, "record", _RECORD_KEYS, required=("t", "logits"))
         try:
-            return cls(
-                t=d["t"],
-                logits=d["logits"],
-                ref_logits=d.get("ref_logits"),
-                token_id=d.get("token_id"),
-                token_text=d.get("token_text"),
-            )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            return cls(**d)
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"bad trace record: {exc}") from exc
+
+
+_RECORD_KEYS = frozenset(f.name for f in fields(TraceRecord))
 
 
 @contextmanager
@@ -307,6 +306,7 @@ class _Session:
             return _error("not_initialized", f"send init before {kind}")
         try:
             if kind == "init":
+                checked_object(msg, "init", {"kind", "vocab_size", "config"})
                 vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
                 payload = msg.get("config")
                 if payload is None:
@@ -316,10 +316,12 @@ class _Session:
                 self.controller = Controller(config)
                 return {"kind": "ready"}
             if kind == "step":
+                checked_object(msg, "step", {"kind", "record"}, required=("record",))
                 # Popped, so the frame's boxed logit list dies before the step runs.
-                rec = TraceRecord.from_dict(msg.pop("record", None) or {})
+                rec = TraceRecord.from_dict(msg.pop("record"))
                 directive, event = _feed(self.controller, rec)
                 return _directive_payload(rec.t, directive, event)
+            checked_object(msg, "finish", {"kind"})
             return {"kind": "summary", **asdict(self.controller.finish())}
         except ConfigError as exc:
             return _error("config", str(exc))

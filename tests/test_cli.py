@@ -307,6 +307,17 @@ class TestCli:
             assert err.startswith(f"spreg: config error: vocab_size {vocab} cannot be allocated")
             assert err.count("\n") == 1
 
+    def test_memory_error_while_running_exits_2(self, monkeypatch, capsys):
+        def records():
+            raise MemoryError("no room")
+            yield
+
+        monkeypatch.setattr("spreg.cli.generate", lambda scenario, detector: (records(), None))
+        assert main(["run", "--scenario", "stable"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "spreg: config error: vocab_size 64 cannot be allocated: no room\n"
+
     def test_negative_seed_exits_2(self, capsys):
         assert main(["run", "--scenario", "stable", "--seed", "-1"]) == 2
         out, err = capsys.readouterr()

@@ -455,7 +455,7 @@ class TestSampledTokens:
         with pytest.raises(ValueError):
             ctrl.notify_sampled(token_id, token_text)
         ctrl.notify_sampled(1, "x")
-        assert ctrl._recent == [1]
+        assert list(ctrl._recent) == [1]
 
     def test_notify_before_any_step_rejected(self):
         ctrl = Controller(make_config())
@@ -477,7 +477,7 @@ class TestSampledTokens:
         assert str(exc.value) == "step 0: no token can be reported before the first step"
         # Nothing changed: the same step is accepted without the token.
         ctrl.process_step(0, np.zeros(VOCAB))
-        assert ctrl._recent == []
+        assert list(ctrl._recent) == []
 
     def test_conclusion_token_flips_step_type(self):
         ctrl = Controller(make_config())
@@ -491,7 +491,7 @@ class TestSampledTokens:
         ctrl.process_step(0, np.zeros(VOCAB))
         ctrl.notify_sampled(5, "")
         assert ctrl._tracker.tail == ""
-        assert ctrl._recent == [5]
+        assert list(ctrl._recent) == [5]
 
 
 class TestFinish:

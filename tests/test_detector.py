@@ -25,14 +25,14 @@ def run_machine(h_seq, cfg: DetectorConfig):
     window = EntropyWindow(capacity=cfg.window, tail_size=cfg.n_grad)
     detector = SpikeDetector(cfg)
     out = []
-    for h in h_seq:
+    for t, h in enumerate(h_seq):
         h = float(h)
         mu, sigma = window.stats()
         prior = window.tail(cfg.n_grad - 1)
         gradient = (
             entropy_gradient([*prior, h]) if len(prior) == cfg.n_grad - 1 else None
         )
-        phase, decision = detector.advance(h, mu, sigma, gradient)
+        phase, decision = detector.advance(t, h, mu, sigma, gradient)
         window.push(h)
         out.append((phase, decision))
     return out

@@ -295,9 +295,11 @@ class TestRepetitionPenalty:
         assert out[1] == 0.0
 
     def test_negative_branch(self):
-        out = repetition_penalty([-1.0, 0.5], {0}, rho=1.3)
+        # A masked (-inf) recent logit stays -inf, with no warning raised.
+        out = repetition_penalty([-1.0, 0.5, -np.inf], {0, 2}, rho=1.3)
         assert out[0] == -1.3
         assert out[1] == 0.5
+        assert out[2] == -np.inf
 
     def test_untouched_tokens_bit_identical(self):
         z = np.array([0.123456789, -3.2, 1.7, 0.0])

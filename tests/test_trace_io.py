@@ -147,6 +147,7 @@ BAD_REPLAY_LINES = {
     "fractional_t": lambda d: {**d, "t": 2.5},
     "fractional_token_id": lambda d: {**d, "token_id": 2.7},
     "token_text_not_a_string": lambda d: {**d, "token_text": 5},
+    "unknown_record_key": lambda d: {**d, "tokenid": 3},
 }
 
 
@@ -494,6 +495,25 @@ class TestWireProtocol:
             serve_stdio({"detector": {"alpha": -1}}, stdin=stdin(), stdout=io.StringIO())
         assert read == []
 
+    def test_a_non_ascii_frame_is_read_and_a_lone_surrogate_gets_one_bad_frame(self):
+        # The console stdin decodes a byte that is not UTF-8 to a lone surrogate.
+        first, second = (r.logits.tolist() for r in random_records(2, vocab=8))
+        arrow = _step_frame(1, second, token_id=3, token_text=" \u2192 ")
+        responses = run_wire(
+            [
+                {"kind": "init", "vocab_size": 8},
+                _step_frame(0, first),
+                json.dumps(arrow, ensure_ascii=False),
+                "\udcff",
+                {"kind": "finish"},
+            ]
+        )
+        assert responses[2]["event"]["step_type"] == "observation"
+        bad = {"kind": "error", "code": "bad_frame", "message": "frame is not valid UTF-8"}
+        assert responses[3] == bad
+        assert (responses[4]["kind"], responses[4]["total_steps"]) == ("summary", 2)
+        assert len(responses) == 5
+
     def test_init_vocab_size_must_be_an_integer(self):
         for vocab_size in (8.9, "8", True, None):
             responses = run_wire([{"kind": "init", "vocab_size": vocab_size}])
@@ -723,12 +743,15 @@ BAD_FRAMES = (
         lambda t: [1, 2],  # JSON, but not an object
         lambda t: _step_frame(t, [10**400] + [0.0] * 7),  # an int beyond float range
         lambda t: _step_frame(t, [1e39] + [0.0] * 7),  # beyond float32 range
+        lambda t: {"kind": "init", "vocab_size": 8, "confg": FAULT_CONFIG},  # an unknown key
+        lambda t: {"kind": "finish", "summary": True},
+        lambda t: {"kind": [1]},  # a kind that cannot be hashed
     ]
     + [_sampled_frame]
 )
-# A step record with a non-integer ``t`` or ``token_id``, or a ``token_text``
-# that is not a string; once the session is initialized, each is answered
-# with a ``bad_frame`` error.
+# A step record with a non-integer ``t`` or ``token_id``, a ``token_text``
+# that is not a string, or a key that is not a record field; once the
+# session is initialized, each is answered with a ``bad_frame`` error.
 BAD_RECORD_FRAMES = (
     [lambda t, f=f: _step_frame(f(t), [0.0] * 8) for f in (float, lambda t: t + 0.9)]
     + [
@@ -739,6 +762,7 @@ BAD_RECORD_FRAMES = (
         lambda t, v=v: _step_frame(t, [0.0] * 8, token_id=1, token_text=v)
         for v in (5, 0, False, [], {})
     ]
+    + [lambda t: _step_frame(t, [0.0] * 8, tokenid=1, token_text="x")]
 )
 
 
