@@ -37,7 +37,7 @@ def config_from_dict(d: dict, vocab_size: int | None = None) -> ControllerConfig
             d = {**d, "vocab_size": vocab_size}
         spec = d.get("patterns")
         patterns = None if spec is None else PatternSet(spec)
-        return read_fields(ControllerConfig, d, "config", patterns=patterns)
+        return read_fields(ControllerConfig, {**d, "patterns": patterns}, "config")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -336,7 +336,7 @@ class Controller:
 
     def finish(self) -> StreamSummary:
         """Cumulative tallies; equal to a recount over the emitted events."""
-        steps = self._modes.total()
+        steps = self._next_t
         return StreamSummary(
             total_steps=steps,
             spikes=self._detector.repair_count,

@@ -54,6 +54,9 @@ BLOCK = 8192
 # caps on RepairParams it keeps every repair quantity finite; see ``repair``.
 MAX_LOGIT_RANGE = 1e100
 
+# float32's largest finite value: the pool's row floor and the wire's saturation bound.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 def as_logits(values, vocab_size: int | None = None) -> np.ndarray:
     """Validate a 1-D logit vector.

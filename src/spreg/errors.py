@@ -75,14 +75,21 @@ def read_json(source, what: str):
         raise ConfigError(f"cannot load {what} {source}: {exc}") from exc
 
 
+# The JSON name of each type ``json.loads`` returns, for error messages.
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array"
+}
+
+
 def checked_object(body, what: str, keys=None, required=()) -> dict:
-    """``body`` if it is a JSON object (a dict), else ValueError.
+    """``body`` if it is a JSON object (a dict), else ValueError naming its JSON type.
 
     With ``keys``, a key of ``body`` that is not in ``keys`` is an error too,
     and so is a missing key of ``required``.
     """
     if not isinstance(body, dict):
-        raise ValueError(f"{what} must be an object, got {type(body).__name__}")
+        kind = _JSON_TYPES.get(type(body), type(body).__name__)
+        raise ValueError(f"{what} must be an object, got {kind}")
     if keys is not None:
         unknown = body.keys() - keys
         if unknown:
@@ -96,21 +103,21 @@ def checked_object(body, what: str, keys=None, required=()) -> dict:
 _type_hints = functools.cache(get_type_hints)
 
 
-def read_fields(cls, body, what: str, **given):
+def read_fields(cls, body, what: str):
     """Build the dataclass ``cls`` from the JSON object ``body``, or raise ValueError.
 
     Each key is read by ``read_value`` as its field's type hint. A missing
     key takes the field's default, a ``doc`` entry is skipped, and any
-    other key is an error. The fields in ``given`` are taken as they are
-    (the caller has already read them) and not from ``body``.
+    other key is an error. A caller that has already built a field's value
+    puts it in ``body``, where ``read_value`` takes it as it is.
     """
     kinds = _type_hints(cls)
     checked_object(body, what, kinds.keys() | {"doc"})
-    values = dict(given)
+    values = {}
     for f in fields(cls):
-        if f.name in body and f.name not in given:
+        if f.name in body:
             values[f.name] = read_value(body[f.name], kinds[f.name], f"{what}.{f.name}")
-        elif f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{what} requires {f.name}")
     return cls(**values)
 

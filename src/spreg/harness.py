@@ -155,8 +155,8 @@ class Scenario:
             if not isinstance(segments, list):
                 raise ValueError(f"scenario.segments must be a list, got {segments!r}")
             segments = tuple(_segment_from_dict(s) for s in segments)
-            return read_fields(cls, d, "scenario", segments=segments)
-        except (TypeError, ValueError) as exc:
+            return read_fields(cls, {**d, "segments": segments}, "scenario")
+        except ValueError as exc:
             raise ConfigError(f"bad scenario: {exc}") from exc
 
     @classmethod
@@ -183,7 +183,7 @@ _SEGMENT_KINDS = {
 
 def _segment_from_dict(d: dict):
     kind = checked_object(d, "segment").get("kind")
-    if kind not in _SEGMENT_KINDS:
+    if not isinstance(kind, str) or kind not in _SEGMENT_KINDS:
         raise ConfigError(f"unknown segment kind {kind!r}")
     body = {k: v for k, v in d.items() if k != "kind"}
     return read_fields(_SEGMENT_KINDS[kind], body, f"{kind} segment")

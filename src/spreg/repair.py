@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import EPSILON, _blocks, log_softmax
+from .distributions import EPSILON, FLOAT32_MAX, _blocks, log_softmax
 from .errors import ConfigError, check_fields
 from .plan_tracker import GuidanceTable, StepType
 
@@ -64,9 +64,6 @@ __all__ = [
 
 # Upper bound on lambda_max, eta and rho; see the finiteness rule above.
 MAX_GAIN = 1e60
-
-# The lowest value a pool row stores; see ``ReferencePool``.
-_FLOAT32_FLOOR = -np.finfo(np.float32).max
 
 
 @dataclass(frozen=True)
@@ -124,8 +121,8 @@ class ReferencePool:
         # costs a quarter of the clip.
         with np.errstate(over="ignore"):
             row = logits.astype(np.float32)
-        if row.min() < _FLOAT32_FLOOR:
-            np.maximum(row, _FLOAT32_FLOOR, out=row)
+        if row.min() < -FLOAT32_MAX:
+            np.maximum(row, -FLOAT32_MAX, out=row)
         self._entries.append(row)
         return True
 

@@ -40,6 +40,7 @@ import numpy as np
 
 from .config import config_from_dict
 from .controller import Controller, ControllerConfig, Directive, EventRecord, StreamSummary
+from .distributions import FLOAT32_MAX
 from .errors import ConfigError, ProtocolError, TraceFormatError, checked_int, checked_object
 
 __all__ = [
@@ -77,14 +78,8 @@ class TraceRecord:
 
     def to_json(self) -> str:
         """The record as JSON text: fields in wire order, absent extras left out."""
-        d: dict = {"t": self.t, "logits": self.logits}
-        if self.ref_logits is not None:
-            d["ref_logits"] = self.ref_logits
-        if self.token_id is not None:
-            d["token_id"] = self.token_id
-        if self.token_text is not None:
-            d["token_text"] = self.token_text
-        return _json_object(d)
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return _json_object({name: value for name, value in values if value is not None})
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceRecord":
@@ -127,7 +122,7 @@ def _jsonl(fh, parse):
                 continue
             try:
                 item = parse(json.loads(line))
-            except (KeyError, RecursionError, TypeError, ValueError) as exc:
+            except (RecursionError, ValueError) as exc:
                 raise TraceFormatError(str(exc), line=lineno) from exc
             yield lineno, item
     except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
@@ -241,8 +236,6 @@ def _feed(controller: Controller, rec: TraceRecord) -> tuple[Directive, EventRec
 
 # -- JSON writing -----------------------------------------------------------------
 
-_F32_MAX = float(np.finfo(np.float32).max)
-
 
 def _f32_json(values: np.ndarray) -> str:
     """A float32 array as a JSON number list, rendered in one ``%`` pass.
@@ -279,7 +272,7 @@ def _directive_payload(t: int, directive: Directive, event: EventRecord) -> dict
     payload: dict = {"kind": "directive", "t": t, "intervened": directive.intervened}
     if directive.intervened:
         # Saturated to float32's range, so the cast cannot overflow to infinity.
-        payload["logits"] = np.clip(directive.logits, -_F32_MAX, _F32_MAX).astype(np.float32)
+        payload["logits"] = np.clip(directive.logits, -FLOAT32_MAX, FLOAT32_MAX).astype(np.float32)
         if directive.temperature_override is not None:
             payload["temperature"] = directive.temperature_override
     payload["event"] = event.to_dict()
@@ -306,8 +299,9 @@ class _Session:
             return _error("not_initialized", f"send init before {kind}")
         try:
             if kind == "init":
-                checked_object(msg, "init", {"kind", "vocab_size", "config"})
-                vocab_size = checked_int(msg.get("vocab_size"), "init vocab_size")
+                keys = {"kind", "vocab_size", "config"}
+                checked_object(msg, "init", keys, required=("vocab_size",))
+                vocab_size = checked_int(msg["vocab_size"], "init vocab_size")
                 payload = msg.get("config")
                 if payload is None:
                     config = replace(self.base, vocab_size=vocab_size)

@@ -117,7 +117,7 @@ class TestConfigLoading:
         # The dict carries the patterns themselves; building the config opens no file.
         cfg = config_from_dict(payload)
         assert cfg.patterns._patterns == PatternSet(patterns)._patterns
-        with pytest.raises(ConfigError, match="patterns must be an object, got str"):
+        with pytest.raises(ConfigError, match="patterns must be an object, got string"):
             config_from_dict({"vocab_size": 8, "patterns": "p.json"})
 
     def test_default_file_documents_every_field(self):

@@ -112,9 +112,9 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "payload, message",
         [
-            ([1], "scenario must be an object, got list"),
-            ({"segments": [[["kind", "stable"]]]}, "segment must be an object, got list"),
-            ({"segments": [5]}, "segment must be an object, got int"),
+            ([1], "scenario must be an object, got array"),
+            ({"segments": [[["kind", "stable"]]]}, "segment must be an object, got array"),
+            ({"segments": [5]}, "segment must be an object, got number"),
             ({"segments": 5}, "scenario.segments must be a list, got 5"),
             ({"segments": {"kind": "stable"}}, "scenario.segments must be a list, got {"),
         ],
@@ -139,6 +139,13 @@ class TestScenarioValidation:
             Scenario.from_dict(payload(segment))
         valid = {k: v for k, v in segment.items() if k != key}
         assert Scenario.from_dict(payload(valid)).length == 5
+
+    def test_from_dict_names_an_unknown_segment_kind(self):
+        cases = (("spiral", "unknown segment kind 'spiral'"), ([1], "unknown segment kind [1]"))
+        for kind, message in cases:
+            payload = {"vocab_size": 16, "length": 5, "segments": [{"kind": kind, "steps": 5}]}
+            with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+                Scenario.from_dict(payload)
 
     def test_opening_drift_needs_start_entropy(self, tmp_path):
         drift = {"kind": "drift", "steps": 10, "slope": 0.1}

@@ -62,12 +62,12 @@ class TestEntropyWindow:
     @settings(max_examples=200)
     def test_stats_match_batch_recomputation(self, values):
         w = EntropyWindow(capacity=10)
-        for v in values:
+        for i, v in enumerate(values):
             w.push(v)
-        mu, sigma = w.stats()
-        ref_mu, ref_sigma = naive_window_stats(values[-10:])
-        assert mu == pytest.approx(ref_mu, abs=1e-12)
-        assert sigma == pytest.approx(ref_sigma, abs=1e-12)
+            mu, sigma = w.stats()
+            ref_mu, ref_sigma = naive_window_stats(values[: i + 1][-10:])
+            assert mu == pytest.approx(ref_mu, abs=1e-12)
+            assert sigma == pytest.approx(ref_sigma, abs=1e-12)
 
 
 class TestEntropyGradient:

@@ -332,6 +332,16 @@ BAD_CONFIGS = [
 ]
 
 
+# A frame sent after a valid init, and the bad_frame message it gets.
+BAD_FRAME_MESSAGES = [
+    ({"kind": "init"}, "init requires vocab_size"),
+    ({"kind": "init", "vocab_size": 4, "confg": {}}, "unknown init keys: confg"),
+    ({"kind": "step"}, "step requires record"),
+    ({"kind": "step", "record": None}, "record must be an object, got null"),
+    ({"kind": "step", "record": {"t": 0}}, "record requires logits"),
+]
+
+
 class TestWireProtocol:
     def test_happy_path(self):
         records = random_records(4, vocab=8)
@@ -513,6 +523,11 @@ class TestWireProtocol:
         assert responses[3] == bad
         assert (responses[4]["kind"], responses[4]["total_steps"]) == ("summary", 2)
         assert len(responses) == 5
+
+    def test_each_bad_frame_message_names_its_fault(self):
+        for frame, message in BAD_FRAME_MESSAGES:
+            responses = run_wire([{"kind": "init", "vocab_size": 4}, frame])
+            assert responses[1] == {"kind": "error", "code": "bad_frame", "message": message}
 
     def test_init_vocab_size_must_be_an_integer(self):
         for vocab_size in (8.9, "8", True, None):
